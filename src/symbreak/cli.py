@@ -11,8 +11,9 @@ Subcommands::
 
 INPUT is either a graph6 line or a family expression (see the grammar in
 ``symbreak --help`` or :mod:`symbreak.expressions`).  Exit codes: 0 when
-everything passed, 1 when a verification failed, 2 on unparsable input,
-3 when an order is beyond the supported bounds.
+everything passed, 1 when a verification failed, 2 on unparsable input or
+an order range that selects nothing, 3 when an order is beyond the
+supported bounds.
 """
 
 from __future__ import annotations
@@ -95,11 +96,19 @@ def _print_report_text(report: VerifyReport) -> None:
         print(f"    excluded: {note}")
 
 
+class UsageError(ValueError):
+    """A command-line value that names no work to do."""
+
+
 def _parse_order_range(text: str) -> list[int]:
-    if ".." in text:
-        low, high = text.split("..", 1)
-        return list(range(int(low), int(high) + 1))
-    return [int(text)]
+    low, sep, high = text.partition("..")
+    try:
+        orders = list(range(int(low), int(high if sep else low) + 1))
+    except ValueError:
+        raise UsageError(f"--n expects an order or a range like 1..6, got {text!r}") from None
+    if not orders:
+        raise UsageError(f"--n {text} is an empty range")
+    return orders
 
 
 def cmd_analyze(args: argparse.Namespace) -> int:
@@ -151,10 +160,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
         results.append(check_construction(args.max))
     else:
         if args.n is None:
-            raise ExpressionError("verify needs --n (for example --n 4 or --n 1..6)")
-        for n in _parse_order_range(args.n):
-            if file_graphs is not None and not any(g.n == n for g in file_graphs):
-                continue
+            raise UsageError("verify needs --n (for example --n 4 or --n 1..6)")
+        orders = _parse_order_range(args.n)
+        if file_graphs is not None:
+            present = {g.n for g in file_graphs}
+            orders = [n for n in orders if n in present]
+            if not orders:
+                raise UsageError(f"{args.graph6_file} has no graph of an order in --n {args.n}")
+        for n in orders:
             if args.target == "bound":
                 results.append(check_bound(n, graphs=file_graphs, jobs=args.jobs))
                 continue
@@ -271,7 +284,7 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ExpressionError, Graph6Error) as err:
+    except (ExpressionError, Graph6Error, UsageError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE_ERROR
     except (OrderLimitError, TheoremNotApplicableError) as err:

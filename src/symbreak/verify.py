@@ -11,6 +11,7 @@ from __future__ import annotations
 import multiprocessing
 import time
 from dataclasses import dataclass, field
+from functools import partial
 
 from .catalog import (
     TheoremId,
@@ -19,7 +20,7 @@ from .catalog import (
     instantiate_families,
 )
 from .graphs import Graph, is_connected
-from .isomorphism import canonical_form, enumerate_graphs, parse_graph6, write_graph6
+from .isomorphism import canonical_form, enumerate_graphs, pair_mask, parse_graph6, write_graph6
 from .resolving import metric_dimension
 from .symmetry import coloring_from_resolving_set, distinguishing_number, is_distinguishing
 
@@ -140,9 +141,10 @@ def check_construction(max_dim: int) -> VerifyReport:
     return report
 
 
-def _d_record(g: Graph) -> tuple[str, int, int, bool]:
-    canon = canonical_form(g)
-    return (write_graph6(g), canon.value, distinguishing_number(g), in_family_f(g))
+def _d_record(g: Graph, enumerated: bool) -> tuple[str, int, int, bool]:
+    # An enumerated representative is already its class's canonical labeling.
+    key = pair_mask(g) if enumerated else canonical_form(g).value
+    return (write_graph6(g), key, distinguishing_number(g), in_family_f(g))
 
 
 def check_characterization(
@@ -192,7 +194,8 @@ def check_characterization(
 
     pool = _population(n, graphs, connected_only=False)
     report.scanned = len(pool)
-    for graph6, canon_value, dval, covered in _map_jobs(_d_record, pool, jobs):
+    record = partial(_d_record, enumerated=graphs is None)
+    for graph6, canon_value, dval, covered in _map_jobs(record, pool, jobs):
         if restricted and not covered:
             if dval == target:
                 report.excluded.append(

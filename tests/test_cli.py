@@ -127,6 +127,25 @@ class TestVerify:
         code, _, err = run_cli(capsys, "verify", "bound")
         assert code == 2
 
+    def test_unparsable_order_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "bound", "--n", "abc")
+        assert code == 2 and out == ""
+        assert "--n" in err and "'abc'" in err
+
+    def test_empty_order_range_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "verify", "Dn3", "--n", "6..5")
+        assert code == 2 and out == ""
+        assert "--n 6..5" in err
+
+    def test_orders_absent_from_the_file_exit_2(self, capsys, order7_path):
+        argv = ["verify", "Dn3", "--graph6-file", order7_path]
+        code, out, err = run_cli(capsys, *argv, "--n", "9")
+        assert code == 2 and out == ""
+        assert order7_path in err
+        # a range that reaches the file's order still skips the missing ones
+        code, out, _ = run_cli(capsys, *argv, "--n", "6..8")
+        assert [report["order"] for report in json.loads(out)] == [7]
+
     def test_bound_from_a_graph6_file(self, capsys, order7_path):
         code, out, _ = run_cli(
             capsys, "verify", "bound", "--n", "7", "--graph6-file", order7_path

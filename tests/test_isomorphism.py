@@ -1,5 +1,9 @@
 """Canonical forms, isomorphism, enumeration counts, graph6 round-trips."""
 
+import os
+import subprocess
+import sys
+
 import pytest
 from hypothesis import given, settings
 
@@ -21,7 +25,8 @@ from symbreak import (
     path_graph,
     write_graph6,
 )
-from symbreak.isomorphism import graph_from_pair_mask, pair_mask
+import symbreak
+from symbreak.isomorphism import _canonical_masks, graph_from_pair_mask, pair_mask
 
 from conftest import graphs, graphs_with_permutation, relabel
 from oracles import brute_canonical_value
@@ -111,6 +116,31 @@ class TestEnumeration:
     def test_order_bound(self):
         with pytest.raises(OrderLimitError):
             list(enumerate_graphs(7))
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_generator_matches_brute_force_classes(self, n):
+        num_pairs = n * (n - 1) // 2
+        classes = {
+            brute_canonical_value(graph_from_pair_mask(n, mask)) for mask in range(1 << num_pairs)
+        }
+        assert _canonical_masks(n) == tuple(sorted(classes))
+
+    def test_generator_reaches_every_order_7_class(self, order7_classes):
+        assert set(_canonical_masks(7)) == {canonical_form(g).value for g in order7_classes}
+
+    def test_importing_the_cli_loads_no_numpy(self):
+        src = os.path.dirname(os.path.dirname(symbreak.__file__))
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+        result = subprocess.run(
+            [sys.executable, "-c", "import sys, symbreak.cli; print('numpy' in sys.modules)"],
+            capture_output=True,
+            text=True,
+            env=env,
+            timeout=120,
+        )
+        assert result.returncode == 0, result.stderr
+        assert result.stdout.strip() == "False"
 
 
 class TestGraph6:

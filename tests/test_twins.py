@@ -4,6 +4,7 @@ import pytest
 
 from symbreak import (
     are_isomorphic,
+    are_twins,
     blow_up,
     broom_tree,
     complement,
@@ -34,6 +35,16 @@ class TestTwinClasses:
 
     def test_k4_is_one_class(self):
         assert twin_classes(complete_graph(4)) == [[0, 1, 2, 3]]
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_classes_are_maximal_sets_of_mutual_twins(self, n):
+        for g in enumerate_graphs(n):
+            classes = twin_classes(g)
+            assert sorted(v for cls in classes for v in cls) == list(range(n))
+            class_of = {v: index for index, cls in enumerate(classes) for v in cls}
+            for u in range(n):
+                for v in range(u + 1, n):
+                    assert are_twins(g, u, v) == (class_of[u] == class_of[v])
 
 
 class TestTwinGraph:
