@@ -110,7 +110,7 @@ K = FamilySpec.complete
 E = FamilySpec.empty
 P = FamilySpec.path
 C = FamilySpec.cycle
-B = FamilySpec.bipartite
+B = FamilySpec.multipartite
 M = FamilySpec.multipartite
 U = FamilySpec.union_of
 J = FamilySpec.join_of

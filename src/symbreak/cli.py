@@ -11,9 +11,9 @@ Subcommands::
 
 INPUT is either a graph6 line or a family expression (see the grammar in
 ``symbreak --help`` or :mod:`symbreak.expressions`).  Exit codes: 0 when
-everything passed, 1 when a verification failed, 2 on unparsable input or
-an order range that selects nothing, 3 when an order is beyond the
-supported bounds.
+everything passed, 1 when a verification failed, 2 on unparsable input, a
+--jobs below 1 or an order range that selects nothing, 3 when an order is
+beyond the supported bounds.
 """
 
 from __future__ import annotations
@@ -111,6 +111,12 @@ def _parse_order_range(text: str) -> list[int]:
     return orders
 
 
+def _jobs(value: int) -> int:
+    if value < 1:
+        raise UsageError(f"--jobs must be at least 1, got {value}")
+    return value
+
+
 def cmd_analyze(args: argparse.Namespace) -> int:
     g = _read_graph(args.input)
     report = classify_graph(g)
@@ -154,6 +160,7 @@ def cmd_construct(args: argparse.Namespace) -> int:
 
 
 def cmd_verify(args: argparse.Namespace) -> int:
+    jobs = _jobs(args.jobs)
     file_graphs = load_graph6_file(args.graph6_file) if args.graph6_file else None
     results: list[VerifyReport | dict] = []
     if args.target == "construction":
@@ -169,13 +176,13 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 raise UsageError(f"{args.graph6_file} has no graph of an order in --n {args.n}")
         for n in orders:
             if args.target == "bound":
-                results.append(check_bound(n, graphs=file_graphs, jobs=args.jobs))
+                results.append(check_bound(n, graphs=file_graphs, jobs=jobs))
                 continue
             theorem = TheoremId(args.target)
             try:
                 results.append(
                     check_characterization(
-                        theorem, n, graphs=file_graphs, jobs=args.jobs, errata=args.errata
+                        theorem, n, graphs=file_graphs, jobs=jobs, errata=args.errata
                     )
                 )
             except TheoremNotApplicableError as err:
@@ -199,6 +206,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
+    jobs = _jobs(args.jobs)
     file_graphs = load_graph6_file(args.graph6_file) if args.graph6_file else None
     rows = enumeration_rows(
         args.n,
@@ -206,7 +214,7 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
         connected_only=args.connected,
         d_filter=args.d,
         dim_filter=args.dim,
-        jobs=args.jobs,
+        jobs=jobs,
     )
     if args.format == "json":
         print(json.dumps(rows, indent=2))
@@ -284,16 +292,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ExpressionError, Graph6Error, UsageError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
     except (OrderLimitError, TheoremNotApplicableError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BOUNDS
-    except GraphError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_PARSE_ERROR
-    except OSError as err:
+    except (ExpressionError, Graph6Error, UsageError, GraphError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_PARSE_ERROR
 

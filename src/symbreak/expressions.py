@@ -4,25 +4,32 @@ Grammar (whitespace is ignored)::
 
     expr   := INT '*' expr            m disjoint copies
             | atom
-    atom   := 'K' INT                 complete graph
-            | 'E' INT                 empty graph
-            | 'P' INT                 path
-            | 'C' INT [ \'' ]         cycle; C5' is the 5-cycle plus a chord
-            | 'T' INT                 broom tree (pendant paths of lengths 1..k)
-            | 'bull'                  triangle with two pendant vertices
-            | 'K' '(' INT, ... ')'    complete multipartite
-            | 'U' '(' expr, ... ')'   disjoint union
+    atom   := 'U' '(' expr, ... ')'   disjoint union
             | 'J' '(' expr, ... ')'   join
             | 'B' '(' expr, piece, ... ')'   blow-up; piece is K<int> or E<int>
             | '~' atom                complement
             | '(' expr ')'
+            | leaf
+    leaf   := 'K' INT                 complete graph
+            | 'E' INT                 empty graph
+            | 'P' INT                 path
+            | 'C' INT                 cycle
+            | 'T' INT                 broom tree (pendant paths of lengths 1..k)
+            | 'C5\''                  the house: the 5-cycle plus a chord
+            | 'bull'                  triangle with two pendant vertices
+            | 'K' '(' INT, INT, ... ')'   complete multipartite
+
+The leaves are the entries of :data:`symbreak.graphs.LEAF_KINDS`; the
+parser and :func:`format_spec` read their names from that table.
 
 Examples: ``K(3,3)``, ``J(K1,U(K1,2*K2))``, ``B(P4,K1,E3,K1,K1)``, ``~C5``.
 """
 
 from __future__ import annotations
 
-from .graphs import FamilySpec
+from typing import Callable
+
+from .graphs import LEAF_KINDS, FamilySpec
 
 
 class ExpressionError(ValueError):
@@ -76,57 +83,43 @@ class _Parser:
             sub = self.expr()
             self.take(")")
             return sub
-        if ch == "K":
-            self.take("K")
-            if self.peek() == "(":
-                sizes = self.int_args()
-                if len(sizes) < 2:
-                    raise self.error("K(...) needs at least two part sizes")
-                if len(sizes) == 2:
-                    return FamilySpec.bipartite(*sizes)
-                return FamilySpec.multipartite(*sizes)
-            return FamilySpec.complete(self.integer())
-        if ch == "E":
-            self.take("E")
-            return FamilySpec.empty(self.integer())
-        if ch == "P":
-            self.take("P")
-            return FamilySpec.path(self.integer())
-        if ch == "C":
-            self.take("C")
-            size = self.integer()
-            if self.peek() == "'":
-                self.take("'")
-                if size != 5:
-                    raise self.error("the chorded cycle C<n>' is only defined for n=5")
-                return FamilySpec.house()
-            return FamilySpec.cycle(size)
-        if ch == "T":
-            self.take("T")
-            return FamilySpec.broom(self.integer())
-        if ch == "b":
-            for letter in "bull":
-                self.take(letter)
-            return FamilySpec.bull()
         if ch == "U":
             self.take("U")
-            return FamilySpec.union_of(*self.expr_args())
+            return FamilySpec.union_of(*self.args(self.expr))
         if ch == "J":
             self.take("J")
-            return FamilySpec.join_of(*self.expr_args())
+            return FamilySpec.join_of(*self.args(self.expr))
         if ch == "B":
             self.take("B")
-            self.take("(")
-            base = self.expr()
-            pieces = []
-            while self.peek() == ",":
-                self.take(",")
-                pieces.append(self.piece())
-            self.take(")")
+            base, *pieces = self.args(self.expr, self.piece)
             if not pieces:
                 raise self.error("B(...) needs blow-up pieces after the base")
             return FamilySpec.blow(base, *pieces)
+        return self.leaf()
+
+    def leaf(self) -> FamilySpec:
+        start = self.pos
+        for kind, leaf in LEAF_KINDS.items():
+            self.pos = start
+            if not self.word(leaf.name):
+                continue
+            if leaf.arity == 0:
+                return FamilySpec(kind)
+            if (self.peek() == "(") != (leaf.arity == 2):
+                continue
+            params = self.args(self.integer) if leaf.arity == 2 else [self.integer()]
+            if len(params) < leaf.arity:
+                raise self.error(f"{leaf.name}(...) needs at least two parameters")
+            return FamilySpec(kind, tuple(params))
+        self.pos = start
         raise self.error("expected a family expression")
+
+    def word(self, name: str) -> bool:
+        for letter in name:
+            if self.peek() != letter:
+                return False
+            self.pos += 1
+        return True
 
     def piece(self) -> tuple[int, str]:
         ch = self.peek()
@@ -138,21 +131,14 @@ class _Parser:
             return (self.integer(), "empty")
         raise self.error("blow-up pieces must be K<int> or E<int>")
 
-    def int_args(self) -> list[int]:
+    def args(self, first: Callable, rest: Callable | None = None) -> list:
+        """A parenthesised, comma-separated list: ``first`` parses its first
+        item and ``rest`` (``first`` when omitted) every later one."""
         self.take("(")
-        values = [self.integer()]
+        values = [first()]
         while self.peek() == ",":
             self.take(",")
-            values.append(self.integer())
-        self.take(")")
-        return values
-
-    def expr_args(self) -> list[FamilySpec]:
-        self.take("(")
-        values = [self.expr()]
-        while self.peek() == ",":
-            self.take(",")
-            values.append(self.expr())
+            values.append((rest or first)())
         self.take(")")
         return values
 
@@ -173,22 +159,10 @@ def format_spec(spec: FamilySpec) -> str:
     so ``U(K2,K2)`` prints as ``2*K2`` inside a union.
     """
     kind = spec.kind
-    if kind == "complete":
-        return f"K{spec.params[0]}"
-    if kind == "empty":
-        return f"E{spec.params[0]}"
-    if kind == "path":
-        return f"P{spec.params[0]}"
-    if kind == "cycle":
-        return f"C{spec.params[0]}"
-    if kind == "house":
-        return "C5'"
-    if kind == "bull":
-        return "bull"
-    if kind == "broom_tree":
-        return f"T{spec.params[0]}"
-    if kind in ("complete_bipartite", "complete_multipartite"):
-        return "K(" + ",".join(str(s) for s in spec.params) + ")"
+    leaf = LEAF_KINDS.get(kind)
+    if leaf is not None:
+        params = ",".join(str(p) for p in spec.params)
+        return f"{leaf.name}({params})" if leaf.arity == 2 else leaf.name + params
     if kind == "complement":
         return "~" + _atomic(spec.parts[0])
     if kind in ("union", "join"):

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from functools import cached_property
-from typing import Iterable, Iterator, Sequence
+from functools import cached_property, reduce
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 MAX_VERTICES = 64
 
@@ -254,30 +254,16 @@ def twin_partition(g: Graph) -> list[list[int]]:
 # Named families
 # ---------------------------------------------------------------------------
 
-_SPEC_KINDS = frozenset(
-    {
-        "path",
-        "cycle",
-        "complete",
-        "empty",
-        "complete_bipartite",
-        "complete_multipartite",
-        "broom_tree",
-        "house",
-        "bull",
-        "complement",
-        "union",
-        "join",
-        "blow_up",
-    }
-)
+#: The kinds that combine sub-specs; every other kind is a key of LEAF_KINDS.
+_COMBINATORS = ("complement", "union", "join", "blow_up")
 
 
 @dataclass(frozen=True)
 class FamilySpec:
     """A recursive description of a named graph family instance.
 
-    Leaf kinds carry integer parameters; ``union``, ``join`` and
+    A leaf kind is a key of :data:`LEAF_KINDS` and carries the integer
+    parameters of its builder.  The combinators ``union``, ``join`` and
     ``complement`` combine sub-specs; ``blow_up`` pairs a base spec with a
     tuple of ``(size, "complete"|"empty")`` pieces.  Every closed formula
     appearing in the characterisation catalogs is expressible as one of
@@ -290,7 +276,7 @@ class FamilySpec:
     pieces: tuple[tuple[int, str], ...] = ()
 
     def __post_init__(self) -> None:
-        if self.kind not in _SPEC_KINDS:
+        if self.kind not in LEAF_KINDS and self.kind not in _COMBINATORS:
             raise GraphError(f"unknown family kind {self.kind!r}")
 
     # Shorthand constructors keep catalog tables readable.
@@ -309,10 +295,6 @@ class FamilySpec:
     @staticmethod
     def empty(n: int) -> "FamilySpec":
         return FamilySpec("empty", (n,))
-
-    @staticmethod
-    def bipartite(s: int, t: int) -> "FamilySpec":
-        return FamilySpec("complete_bipartite", (s, t))
 
     @staticmethod
     def multipartite(*sizes: int) -> "FamilySpec":
@@ -374,8 +356,6 @@ def empty_graph(n: int) -> Graph:
 def complete_multipartite_graph(*sizes: int) -> Graph:
     if len(sizes) < 2:
         raise GraphError("complete multipartite graphs need at least two parts")
-    if any(s < 1 for s in sizes):
-        raise GraphError("part sizes must be at least 1")
     return blow_up(complete_graph(len(sizes)), [(s, "empty") for s in sizes])
 
 
@@ -411,43 +391,44 @@ def bull_graph() -> Graph:
     return build_graph(5, [(0, 1), (1, 2), (2, 3), (1, 3), (3, 4)])
 
 
+class LeafKind(NamedTuple):
+    """How one leaf family kind is built and how it is written.
+
+    In the expression language ``name`` is followed by ``arity`` integer
+    parameters: none (``bull``), one (``K5``), or at arity 2 a
+    parenthesised list of two or more (``K(3,3)``).
+    """
+
+    build: Callable[..., Graph]
+    name: str
+    arity: int
+
+
+#: Every leaf family kind.  The expression parser tries the kinds in this
+#: order, so a fixed name comes before a kind whose name it extends
+#: (``C5'`` before ``C<n>``).
+LEAF_KINDS: dict[str, LeafKind] = {
+    "house": LeafKind(house_graph, "C5'", 0),
+    "bull": LeafKind(bull_graph, "bull", 0),
+    "complete": LeafKind(complete_graph, "K", 1),
+    "empty": LeafKind(empty_graph, "E", 1),
+    "path": LeafKind(path_graph, "P", 1),
+    "cycle": LeafKind(cycle_graph, "C", 1),
+    "broom_tree": LeafKind(broom_tree, "T", 1),
+    "complete_multipartite": LeafKind(complete_multipartite_graph, "K", 2),
+}
+
+
 def construct_family(spec: FamilySpec) -> Graph:
     """Materialise a :class:`FamilySpec` as a concrete graph."""
-    kind = spec.kind
-    if kind == "path":
-        return path_graph(spec.params[0])
-    if kind == "cycle":
-        return cycle_graph(spec.params[0])
-    if kind == "complete":
-        return complete_graph(spec.params[0])
-    if kind == "empty":
-        return empty_graph(spec.params[0])
-    if kind == "complete_bipartite":
-        return complete_multipartite_graph(*spec.params)
-    if kind == "complete_multipartite":
-        return complete_multipartite_graph(*spec.params)
-    if kind == "broom_tree":
-        return broom_tree(spec.params[0])
-    if kind == "house":
-        return house_graph()
-    if kind == "bull":
-        return bull_graph()
-    if kind == "complement":
-        return complement(construct_family(spec.parts[0]))
-    if kind == "union":
-        if not spec.parts:
-            raise GraphError("union needs at least one part")
-        result = construct_family(spec.parts[0])
-        for sub in spec.parts[1:]:
-            result = disjoint_union(result, construct_family(sub))
-        return result
-    if kind == "join":
-        if not spec.parts:
-            raise GraphError("join needs at least one part")
-        result = construct_family(spec.parts[0])
-        for sub in spec.parts[1:]:
-            result = join(result, construct_family(sub))
-        return result
-    if kind == "blow_up":
-        return blow_up(construct_family(spec.parts[0]), spec.pieces)
-    raise GraphError(f"unknown family kind {kind!r}")
+    leaf = LEAF_KINDS.get(spec.kind)
+    if leaf is not None:
+        return leaf.build(*spec.params)
+    parts = [construct_family(sub) for sub in spec.parts]
+    if spec.kind == "complement":
+        return complement(parts[0])
+    if spec.kind == "blow_up":
+        return blow_up(parts[0], spec.pieces)
+    if not parts:
+        raise GraphError(f"{spec.kind} needs at least one part")
+    return reduce(disjoint_union if spec.kind == "union" else join, parts)

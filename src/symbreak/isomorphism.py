@@ -31,10 +31,9 @@ from .graphs import (
     OrderLimitError,
     build_graph,
     is_connected,
-    shortest_path_matrix,
     twin_partition,
 )
-from .symmetry import automorphism_group
+from .symmetry import automorphism_group, isometries
 
 CANONICAL_MAX_VERTICES = 10
 ENUMERATION_MAX_ORDER = 6
@@ -172,45 +171,7 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
         return False
     if g.n <= CANONICAL_MAX_VERTICES:
         return canonical_form(g) == canonical_form(h)
-    return _isomorphism_search(g, h)
-
-
-def _vertex_profiles(g: Graph) -> list[tuple]:
-    dist = shortest_path_matrix(g)
-    return [(g.degree(v), tuple(sorted(dist[v]))) for v in range(g.n)]
-
-
-def _isomorphism_search(g: Graph, h: Graph) -> bool:
-    n = g.n
-    gp = _vertex_profiles(g)
-    hp = _vertex_profiles(h)
-    if sorted(gp) != sorted(hp):
-        return False
-    dist_g = shortest_path_matrix(g)
-    dist_h = shortest_path_matrix(h)
-    candidates = [[w for w in range(n) if hp[w] == gp[v]] for v in range(n)]
-    order = sorted(range(n), key=lambda v: (len(candidates[v]), v))
-    image = [-1] * n
-    used = [False] * n
-
-    def extend(i: int) -> bool:
-        if i == n:
-            return True
-        v = order[i]
-        row_v = dist_g[v]
-        for w in candidates[v]:
-            if used[w]:
-                continue
-            if all(row_v[u] == dist_h[w][image[u]] for u in order[:i]):
-                image[v] = w
-                used[w] = True
-                if extend(i + 1):
-                    return True
-                used[w] = False
-                image[v] = -1
-        return False
-
-    return extend(0)
+    return isometries(g, h, lambda _image: True)
 
 
 @lru_cache(maxsize=None)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 from .graphs import (
     DisconnectedError,
@@ -69,13 +69,52 @@ class Coloring:
             raise GraphError("vertex colors must lie in 1..k")
 
 
+def isometries(g: Graph, h: Graph, visit: Callable[[list[int]], bool | None]) -> bool:
+    """Pass every distance-preserving bijection from ``g`` onto ``h`` to ``visit``.
+
+    On graphs these bijections are exactly the isomorphisms.  The search
+    backtracks over vertex images, filtering candidates by degree and
+    distance profile and forcing every assigned pair to preserve distance.
+    ``visit`` gets the one-line image list, which the search reuses (copy
+    it to keep it), and stops the search by returning True.  Returns True
+    exactly when ``visit`` stopped the search.
+    """
+    n = g.n
+    dist_g = shortest_path_matrix(g)
+    dist_h = shortest_path_matrix(h)
+    profile_g = [(g.degree(v), tuple(sorted(dist_g[v]))) for v in range(n)]
+    profile_h = [(h.degree(w), tuple(sorted(dist_h[w]))) for w in range(n)]
+    if sorted(profile_g) != sorted(profile_h):
+        return False
+    candidates = [[w for w in range(n) if profile_h[w] == profile_g[v]] for v in range(n)]
+    order = sorted(range(n), key=lambda v: (len(candidates[v]), v))
+    image = [-1] * n
+    used = [False] * n
+
+    def extend(i: int) -> bool | None:
+        if i == n:
+            return visit(image)
+        v = order[i]
+        row_v = dist_g[v]
+        for w in candidates[v]:
+            if used[w]:
+                continue
+            if all(row_v[u] == dist_h[w][image[u]] for u in order[:i]):
+                image[v] = w
+                used[w] = True
+                if extend(i + 1):
+                    return True
+                used[w] = False
+                image[v] = -1
+        return False
+
+    return bool(extend(0))
+
+
 @lru_cache(maxsize=8192)
 def automorphism_group(g: Graph) -> AutomorphismGroup:
-    """List the automorphism group of ``g`` exactly.
-
-    Backtracks over vertex images, filtering candidates by degree and
-    distance profile and forcing every assigned pair to preserve the
-    distance matrix (automorphisms are isometries, so nothing is lost).
+    """List the automorphism group of ``g`` exactly: the isometries from
+    ``g`` onto itself.
 
     Raises:
         OrderLimitError: above the vertex cap, or when the group has more
@@ -86,61 +125,26 @@ def automorphism_group(g: Graph) -> AutomorphismGroup:
         raise OrderLimitError(
             f"automorphism listing is supported up to {AUT_MAX_VERTICES} vertices, got {n}"
         )
-    if n == 0:
-        return AutomorphismGroup(0, ((),))
-    dist = shortest_path_matrix(g)
-    profile = [(g.degree(v), tuple(sorted(dist[v]))) for v in range(n)]
-    candidates = [[w for w in range(n) if profile[w] == profile[v]] for v in range(n)]
-    order = sorted(range(n), key=lambda v: (len(candidates[v]), v))
-    image = [-1] * n
-    used = [False] * n
     found: list[tuple[int, ...]] = []
 
-    def extend(i: int) -> None:
-        if i == n:
-            found.append(tuple(image))
-            if len(found) > AUT_MAX_GROUP_SIZE:
-                raise OrderLimitError(
-                    f"automorphism group exceeds {AUT_MAX_GROUP_SIZE} elements"
-                )
-            return
-        v = order[i]
-        row_v = dist[v]
-        for w in candidates[v]:
-            if used[w]:
-                continue
-            if all(row_v[u] == dist[w][image[u]] for u in order[:i]):
-                image[v] = w
-                used[w] = True
-                extend(i + 1)
-                used[w] = False
-                image[v] = -1
+    def keep(image: list[int]) -> None:
+        found.append(tuple(image))
+        if len(found) > AUT_MAX_GROUP_SIZE:
+            raise OrderLimitError(f"automorphism group exceeds {AUT_MAX_GROUP_SIZE} elements")
 
-    extend(0)
+    isometries(g, g, keep)
     found.sort(key=lambda f: (sum(1 for v in range(n) if f[v] != v), f))
     return AutomorphismGroup(n, tuple(found))
 
 
 def vertex_orbits(g: Graph) -> list[list[int]]:
-    """Orbits of the automorphism group acting on the vertices."""
-    group = automorphism_group(g)
-    parent = list(range(g.n))
+    """Orbits of the automorphism group acting on the vertices.
 
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for f in group.nontrivial():
-        for v in range(g.n):
-            a, b = find(v), find(f[v])
-            if a != b:
-                parent[a] = b
-    buckets: dict[int, list[int]] = {}
-    for v in range(g.n):
-        buckets.setdefault(find(v), []).append(v)
-    return sorted(buckets.values())
+    The group is listed in full, so the orbit of ``v`` is its set of images.
+    """
+    elements = automorphism_group(g).elements
+    orbits = {tuple(sorted({f[v] for f in elements})) for v in range(g.n)}
+    return [list(orbit) for orbit in sorted(orbits)]
 
 
 def _supports(group: AutomorphismGroup) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:

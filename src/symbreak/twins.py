@@ -14,6 +14,9 @@ from dataclasses import dataclass
 from .graphs import Graph, build_graph, complement, is_connected, twin_partition
 from .symmetry import automorphism_group
 
+#: Maximal classes of mutual twins, in order of their least vertex.
+twin_classes = twin_partition
+
 TYPE_SINGLETON = "1"
 TYPE_CLIQUE = "K"
 TYPE_INDEPENDENT = "N"
@@ -42,14 +45,9 @@ class TwinStructure:
         return max(len(cls) for cls in self.classes)
 
 
-def twin_classes(g: Graph) -> list[list[int]]:
-    """Maximal classes of mutual twins, in order of their least vertex."""
-    return twin_partition(g)
-
-
 def twin_graph(g: Graph) -> TwinStructure:
     """Contract every twin class to one vertex and record the class types."""
-    classes = [tuple(cls) for cls in twin_classes(g)]
+    classes = [tuple(cls) for cls in twin_partition(g)]
     types = []
     for cls in classes:
         if len(cls) == 1:

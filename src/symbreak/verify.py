@@ -9,6 +9,7 @@ content.  Scans distribute per-graph work over a process pool when asked.
 from __future__ import annotations
 
 import multiprocessing
+import os
 import time
 from dataclasses import dataclass, field
 from functools import partial
@@ -20,7 +21,14 @@ from .catalog import (
     instantiate_families,
 )
 from .graphs import Graph, is_connected
-from .isomorphism import canonical_form, enumerate_graphs, pair_mask, parse_graph6, write_graph6
+from .isomorphism import (
+    Graph6Error,
+    canonical_form,
+    enumerate_graphs,
+    pair_mask,
+    parse_graph6,
+    write_graph6,
+)
 from .resolving import metric_dimension
 from .symmetry import coloring_from_resolving_set, distinguishing_number, is_distinguishing
 
@@ -65,6 +73,7 @@ class VerifyReport:
 
 
 def _map_jobs(fn, items, jobs: int):
+    jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1 and len(items) > 1:
         with multiprocessing.Pool(jobs) as pool:
             return pool.map(fn, items)
@@ -72,11 +81,17 @@ def _map_jobs(fn, items, jobs: int):
 
 
 def load_graph6_file(path: str) -> list[Graph]:
+    """One graph per non-blank line; a malformed line raises a
+    :class:`Graph6Error` that names ``path:line``."""
     graphs = []
-    with open(path, "r", encoding="ascii") as handle:
-        for line in handle:
-            if line.strip():
-                graphs.append(parse_graph6(line))
+    with open(path, "rb") as handle:
+        for number, raw in enumerate(handle, 1):
+            if raw.strip():
+                try:
+                    # latin-1 keeps each byte's value, so parse_graph6 names a non-ASCII byte
+                    graphs.append(parse_graph6(raw.decode("latin-1")))
+                except Graph6Error as err:
+                    raise Graph6Error(f"{path}:{number}: {err}") from None
     return graphs
 
 

@@ -16,6 +16,7 @@ from symbreak import (
     disjoint_union,
     distinguishing_number,
     enumerate_graphs,
+    format_spec,
     in_family_f,
     instantiate_families,
     metric_dimension,
@@ -40,6 +41,17 @@ def contains_isomorph(pool, g):
 
 
 class TestInstantiation:
+    @pytest.mark.parametrize("theorem", list(TheoremId), ids=lambda t: t.value)
+    def test_match_expressions_build_their_instance(self, theorem):
+        # every expression a match reports reads back through the kind table
+        # to the same text and to a graph of the instance's class
+        for n in range(theorem.min_order, 9):
+            for inst in instantiate_families(theorem, n):
+                for match in inst.matches:
+                    spec = parse_expression(match.expression)
+                    assert format_spec(spec) == match.expression
+                    assert canonical_form(construct_family(spec)) == inst.canonical, match
+
     def test_d_n_minus_1_at_order_4(self):
         pool = catalog_graphs(TheoremId.DN1, 4)
         expected = [

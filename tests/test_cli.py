@@ -3,9 +3,12 @@
 import csv
 import io
 import json
+import multiprocessing
+import os
 import subprocess
 import sys
 
+import pytest
 
 from symbreak import broom_tree, write_graph6
 from symbreak.cli import main
@@ -154,6 +157,40 @@ class TestVerify:
         (report,) = json.loads(out)
         assert report["verdict"] == "PASS"
         assert report["scanned"] == 10  # connected members of the file
+
+    @pytest.mark.parametrize(
+        "content, where",
+        [
+            # a non-ASCII byte (UTF-8 for e-acute) on line 3, after a blank line
+            ("C~\n\nD\u00e9\n".encode("utf-8"), "3: byte 195 out of the graph6 range"),
+            (b"C~\nC~~\n", "2: graph6 body for order 4 must be 1 bytes, got 2"),
+        ],
+    )
+    def test_graph6_file_errors_exit_2_naming_the_line(self, capsys, tmp_path, content, where):
+        path = tmp_path / "input.g6"
+        path.write_bytes(content)
+        for argv in (["verify", "bound", "--n", "4"], ["enumerate", "--n", "4"]):
+            code, out, err = run_cli(capsys, *argv, "--graph6-file", str(path))
+            assert code == 2 and out == ""
+            assert f"{path}:{where}" in err
+
+    @pytest.mark.parametrize("jobs", ["0", "-3"])
+    def test_jobs_below_one_exit_2(self, capsys, jobs):
+        for argv in (["verify", "Dn", "--n", "4"], ["enumerate", "--n", "4"]):
+            code, out, err = run_cli(capsys, *argv, "--jobs", jobs)
+            assert code == 2 and out == ""
+            assert f"--jobs must be at least 1, got {jobs}" in err
+
+    def test_jobs_above_the_cpu_count_are_clamped(self, capsys, monkeypatch):
+        # with one CPU, --jobs 4 must run serially: a pool would fail here
+        def no_pool(*args, **kwargs):
+            raise AssertionError("a process pool was started")
+
+        monkeypatch.setattr(os, "cpu_count", lambda: 1)
+        monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+        code, out, _ = run_cli(capsys, "verify", "Dn", "--n", "4", "--jobs", "4")
+        assert code == 0
+        assert json.loads(out)[0]["verdict"] == "PASS"
 
     def test_jobs_flag_matches_serial_run(self, capsys):
         code, serial, _ = run_cli(capsys, "verify", "Dn", "--n", "4")

@@ -4,6 +4,7 @@ import pytest
 
 from symbreak import (
     ExpressionError,
+    FamilySpec,
     are_isomorphic,
     bull_graph,
     complete_multipartite_graph,
@@ -14,6 +15,11 @@ from symbreak import (
     parse_expression,
     path_graph,
 )
+from symbreak.graphs import LEAF_KINDS
+
+#: Parameters that every leaf builder accepts, by arity.
+SAMPLE_PARAMS = {0: (), 1: (4,), 2: (2, 3)}
+LEAF_SPECS = [FamilySpec(kind, SAMPLE_PARAMS[leaf.arity]) for kind, leaf in LEAF_KINDS.items()]
 
 
 def build(text):
@@ -88,6 +94,13 @@ class TestFormatting:
         spec = parse_expression(text)
         again = parse_expression(format_spec(spec))
         assert construct_family(again) == construct_family(spec)
+
+    @pytest.mark.parametrize("spec", LEAF_SPECS, ids=lambda spec: spec.kind)
+    def test_every_leaf_kind_parses_back_to_itself(self, spec):
+        # spec equality, not just equal graphs: a leaf written under another
+        # kind's name (K(2,3) for a bipartite kind) would build the same graph
+        assert parse_expression(format_spec(spec)) == spec
+        assert construct_family(spec).n > 0
 
     def test_collapses_repeated_union_operands(self):
         assert format_spec(parse_expression("U(K2,K2,K2)")) == "3*K2"

@@ -17,16 +17,24 @@ from symbreak import (
     complement,
     complete_graph,
     complete_multipartite_graph,
+    construct_family,
     cycle_graph,
     disjoint_union,
     enumerate_graphs,
     is_connected,
+    parse_expression,
     parse_graph6,
     path_graph,
+    shortest_path_matrix,
     write_graph6,
 )
 import symbreak
-from symbreak.isomorphism import _canonical_masks, graph_from_pair_mask, pair_mask
+from symbreak.isomorphism import (
+    CANONICAL_MAX_VERTICES,
+    _canonical_masks,
+    graph_from_pair_mask,
+    pair_mask,
+)
 
 from conftest import graphs, graphs_with_permutation, relabel
 from oracles import brute_canonical_value
@@ -82,6 +90,47 @@ class TestAreIsomorphic:
         perm = tuple(reversed(range(a.n)))
         assert are_isomorphic(a, relabel(a, perm))
         assert not are_isomorphic(a, path_graph(a.n))
+
+    @given(graphs_with_permutation(min_n=11, max_n=14))
+    @settings(max_examples=40, deadline=None)
+    def test_relabelings_are_isomorphic_above_the_canonical_cap(self, pair):
+        g, perm = pair
+        assert g.n > CANONICAL_MAX_VERTICES
+        assert are_isomorphic(g, relabel(g, perm))
+
+    @pytest.mark.parametrize(
+        "left, right",
+        [("C12", "U(C6,C6)"), ("C11", "U(C5,C6)"), ("U(C3,C9)", "U(C5,C7)")],
+    )
+    def test_equal_degree_sequences_are_told_apart_above_the_cap(self, left, right):
+        g, h = (construct_family(parse_expression(text)) for text in (left, right))
+        assert g.n == h.n > CANONICAL_MAX_VERTICES
+        assert g.degree_sequence() == h.degree_sequence()
+        assert not are_isomorphic(g, h) and not are_isomorphic(h, g)
+
+    def test_equal_distance_profiles_are_told_apart(self):
+        # The Shrikhande graph and the 4x4 rook's graph are Cayley graphs of
+        # Z4 x Z4, both strongly regular with parameters (16, 6, 2, 2), so
+        # every vertex of either has the same degree and distance profile;
+        # only the backtrack itself can tell them apart.
+        cells = [(a, b) for a in range(4) for b in range(4)]
+
+        def cayley(connects):
+            edges = [
+                (i, j)
+                for i, (a, b) in enumerate(cells)
+                for j, (c, d) in enumerate(cells)
+                if i < j and connects((c - a) % 4, (d - b) % 4)
+            ]
+            return build_graph(16, edges)
+
+        shrikhande = cayley(lambda x, y: (x, y) in {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)})
+        rook = cayley(lambda x, y: (x == 0) != (y == 0))
+        assert sorted(map(sorted, shortest_path_matrix(shrikhande))) == sorted(
+            map(sorted, shortest_path_matrix(rook))
+        )
+        assert not are_isomorphic(shrikhande, rook)
+        assert are_isomorphic(rook, relabel(rook, tuple(reversed(range(16)))))
 
     @given(graphs_with_permutation(max_n=6))
     @settings(max_examples=60, deadline=None)

@@ -28,8 +28,9 @@ from symbreak import (
     vertex_orbits,
 )
 from symbreak.graphs import DisconnectedError, GraphError
+from symbreak.symmetry import isometries
 
-from conftest import graphs
+from conftest import graphs, graphs_with_permutation, relabel
 from oracles import brute_automorphisms, brute_distinguishing_number
 
 
@@ -84,6 +85,36 @@ class TestVertexOrbits:
     def test_house_orbits_follow_its_group(self):
         # group is generated by the single reflection (0 2)(3 4)
         assert vertex_orbits(house_graph()) == [[0, 2], [1], [3, 4]]
+
+    @given(graphs(min_n=1, max_n=6))
+    @settings(max_examples=50, deadline=None)
+    def test_matches_brute_force_images(self, g):
+        perms = brute_automorphisms(g)
+        orbit_of = {v: tuple(orbit) for orbit in vertex_orbits(g) for v in orbit}
+        assert sorted(orbit_of) == list(range(g.n))
+        for u in range(g.n):
+            for v in range(g.n):
+                assert (orbit_of[u] == orbit_of[v]) == any(p[u] == v for p in perms)
+
+
+class TestIsometries:
+    @given(graphs_with_permutation(max_n=6))
+    @settings(max_examples=60, deadline=None)
+    def test_visits_every_isomorphism_once(self, pair):
+        g, perm = pair
+        h = relabel(g, perm)
+        seen = []
+        assert not isometries(g, h, lambda image: seen.append(tuple(image)))
+        assert len(set(seen)) == len(seen) == len(brute_automorphisms(g))
+        assert all(relabel(g, image) == h for image in seen)
+
+    def test_visit_stops_the_search(self):
+        calls = []
+        assert isometries(complete_graph(5), complete_graph(5), lambda image: calls.append(1) or True)
+        assert len(calls) == 1
+
+    def test_no_isometry_between_different_orders(self):
+        assert not isometries(path_graph(3), path_graph(4), lambda image: True)
 
 
 class TestIsDistinguishing:
