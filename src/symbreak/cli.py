@@ -12,8 +12,8 @@ Subcommands::
 INPUT is either a graph6 line or a family expression (see the grammar in
 ``symbreak --help`` or :mod:`symbreak.expressions`).  Exit codes: 0 when
 everything passed, 1 when a verification failed, 2 on unparsable input, a
---jobs below 1 or an order range that selects nothing, 3 when an order is
-beyond the supported bounds.
+--jobs below 1, a --max below 2, a negative order or an order range that
+selects nothing, 3 when an order is beyond the supported bounds.
 """
 
 from __future__ import annotations
@@ -108,6 +108,8 @@ def _parse_order_range(text: str) -> list[int]:
         raise UsageError(f"--n expects an order or a range like 1..6, got {text!r}") from None
     if not orders:
         raise UsageError(f"--n {text} is an empty range")
+    if orders[0] < 0:
+        raise UsageError(f"--n orders must be non-negative, got {text!r}")
     return orders
 
 
@@ -164,6 +166,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
     file_graphs = load_graph6_file(args.graph6_file) if args.graph6_file else None
     results: list[VerifyReport | dict] = []
     if args.target == "construction":
+        if args.max < 2:
+            raise UsageError(f"--max must be at least 2, got {args.max}")
         results.append(check_construction(args.max))
     else:
         if args.n is None:
@@ -207,6 +211,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     jobs = _jobs(args.jobs)
+    if args.n < 0:
+        raise UsageError(f"--n must be non-negative, got {args.n}")
     file_graphs = load_graph6_file(args.graph6_file) if args.graph6_file else None
     rows = enumeration_rows(
         args.n,

@@ -20,7 +20,9 @@ Grammar (whitespace is ignored)::
             | 'K' '(' INT, INT, ... ')'   complete multipartite
 
 The leaves are the entries of :data:`symbreak.graphs.LEAF_KINDS`; the
-parser and :func:`format_spec` read their names from that table.
+parser and :func:`format_spec` read their names from that table.  INT is
+ASCII digits with a value of at most :data:`symbreak.graphs.MAX_VERTICES`,
+and nesting is bounded by ``_MAX_NESTING``.
 
 Examples: ``K(3,3)``, ``J(K1,U(K1,2*K2))``, ``B(P4,K1,E3,K1,K1)``, ``~C5``.
 """
@@ -29,17 +31,40 @@ from __future__ import annotations
 
 from typing import Callable
 
-from .graphs import LEAF_KINDS, FamilySpec
+from .graphs import LEAF_KINDS, MAX_VERTICES, FamilySpec
+
+#: Deepest nesting the parser accepts, where every ``expr`` and ``atom`` in
+#: the grammar counts one level (``K1`` is two, ``~~K1`` and ``(K1)`` four).
+#: It keeps parsing and construction well inside the recursion limit.
+_MAX_NESTING = 100
 
 
 class ExpressionError(ValueError):
     """The input is not a well-formed family expression."""
 
 
+def _is_digit(ch: str) -> bool:
+    # str.isdigit also accepts characters such as '²' that int() rejects.
+    return ch.isascii() and ch.isdigit()
+
+
+def _nested(method: Callable) -> Callable:
+    def parse(self: "_Parser") -> FamilySpec:
+        self.depth += 1
+        if self.depth > _MAX_NESTING:
+            raise self.error(f"expression nests deeper than {_MAX_NESTING} levels")
+        spec = method(self)
+        self.depth -= 1
+        return spec
+
+    return parse
+
+
 class _Parser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0
 
     def error(self, message: str) -> ExpressionError:
         return ExpressionError(f"{message} at position {self.pos} in {self.text!r}")
@@ -56,15 +81,22 @@ class _Parser:
 
     def integer(self) -> int:
         ch = self.peek()
-        if not ch.isdigit():
+        if not _is_digit(ch):
             raise self.error("expected an integer")
         start = self.pos
-        while self.pos < len(self.text) and self.text[self.pos].isdigit():
+        while self.pos < len(self.text) and _is_digit(self.text[self.pos]):
             self.pos += 1
-        return int(self.text[start : self.pos])
+        digits = self.text[start : self.pos].lstrip("0") or "0"
+        # Every integer counts vertices or copies, so none above the vertex
+        # cap builds a graph.  Refusing one here keeps a huge K<n> from
+        # listing its edges before the cap is checked.
+        if len(digits) > len(str(MAX_VERTICES)) or int(digits) > MAX_VERTICES:
+            raise self.error(f"integers above the {MAX_VERTICES}-vertex cap name no graph")
+        return int(digits)
 
+    @_nested
     def expr(self) -> FamilySpec:
-        if self.peek().isdigit():
+        if _is_digit(self.peek()):
             count = self.integer()
             self.take("*")
             sub = self.expr()
@@ -73,6 +105,7 @@ class _Parser:
             return sub if count == 1 else FamilySpec.union_of(*([sub] * count))
         return self.atom()
 
+    @_nested
     def atom(self) -> FamilySpec:
         ch = self.peek()
         if ch == "~":

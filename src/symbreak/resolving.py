@@ -13,7 +13,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .graphs import DisconnectedError, Graph, is_connected, shortest_path_matrix, twin_partition
 
@@ -35,10 +35,18 @@ def is_resolving(g: Graph, vertices: Iterable[int]) -> bool:
     """
     if not is_connected(g):
         raise DisconnectedError("resolving sets are defined for connected graphs")
-    landmarks = sorted(set(vertices))
-    dist = shortest_path_matrix(g)
-    seen = {tuple(dist[v][s] for s in landmarks) for v in range(g.n)}
-    return len(seen) == g.n
+    return _resolves(shortest_path_matrix(g), sorted(set(vertices)))
+
+
+def _resolves(dist: Sequence[Sequence[float]], landmarks: Sequence[int]) -> bool:
+    """True when no two rows of ``dist`` agree on every landmark column."""
+    seen = set()
+    for row in dist:
+        vec = tuple(row[s] for s in landmarks)
+        if vec in seen:
+            return False
+        seen.add(vec)
+    return True
 
 
 @lru_cache(maxsize=65536)
@@ -59,20 +67,10 @@ def metric_dimension(g: Graph) -> ResolvingWitness:
     base = sorted(v for cls in classes for v in cls[1:])
     representatives = sorted(cls[0] for cls in classes)
     dist = shortest_path_matrix(g)
-    n = g.n
-
-    def resolves(landmarks: tuple[int, ...]) -> bool:
-        seen = set()
-        for v in range(n):
-            vec = tuple(dist[v][s] for s in landmarks)
-            if vec in seen:
-                return False
-            seen.add(vec)
-        return True
 
     for extra_size in range(len(representatives) + 1):
         for extra in itertools.combinations(representatives, extra_size):
             candidate = tuple(sorted(base + list(extra)))
-            if resolves(candidate):
+            if _resolves(dist, candidate):
                 return ResolvingWitness(len(candidate), candidate)
     raise AssertionError("the full vertex set always resolves a connected graph")

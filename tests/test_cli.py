@@ -1,5 +1,6 @@
 """End-to-end coverage of the command-line interface."""
 
+import contextlib
 import csv
 import io
 import json
@@ -9,9 +10,13 @@ import subprocess
 import sys
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from symbreak import broom_tree, write_graph6
 from symbreak.cli import main
+
+from conftest import graphs
 
 
 def run_cli(capsys, *argv):
@@ -140,6 +145,19 @@ class TestVerify:
         assert code == 2 and out == ""
         assert "--n 6..5" in err
 
+    @pytest.mark.parametrize("largest", ["1", "0", "-5"])
+    def test_construction_max_below_two_exits_2(self, capsys, largest):
+        # no pair 1 <= a < b exists, so the check would pass having scanned nothing
+        code, out, err = run_cli(capsys, "verify", "construction", "--max", largest)
+        assert code == 2 and out == ""
+        assert f"--max must be at least 2, got {largest}" in err
+
+    @pytest.mark.parametrize("target", ["bound", "Dn"])
+    def test_negative_orders_exit_2(self, capsys, target):
+        code, out, err = run_cli(capsys, "verify", target, "--n", "-1")
+        assert code == 2 and out == ""
+        assert "--n orders must be non-negative, got '-1'" in err
+
     def test_orders_absent_from_the_file_exit_2(self, capsys, order7_path):
         argv = ["verify", "Dn3", "--graph6-file", order7_path]
         code, out, err = run_cli(capsys, *argv, "--n", "9")
@@ -232,6 +250,11 @@ class TestEnumerate:
         assert len(rows) == 4
         assert {"graph6", "n", "connected", "D", "dim"} <= set(rows[0])
 
+    def test_negative_order_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "enumerate", "--n", "-1")
+        assert code == 2 and out == ""
+        assert "--n must be non-negative, got -1" in err
+
     def test_internal_bound_exits_3(self, capsys):
         code, _, err = run_cli(capsys, "enumerate", "--n", "7")
         assert code == 3
@@ -281,3 +304,111 @@ def test_console_entry_point_runs():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["D"] == 3
+
+
+# --- CLI fuzzing -------------------------------------------------------------
+#
+# Every case runs main() in this process, so the inputs stay small.  Every
+# integer in an expression is at most 3, and mutations insert no digit and
+# delete nothing from an expression, so no expression names a graph above
+# 14 vertices.  graph6 lines hold no digits, and a line mutated into a
+# valid one stays below ten vertices.
+
+_MUTATIONS = st.sampled_from([0, 0, 0, 1, 2])
+_NO_DIGITS = st.characters(blacklist_characters="0123456789")
+# '²' and '٣' pass str.isdigit(); int() rejects the first and reads the second.
+_NOISE = st.one_of(st.sampled_from(list("()~*,'UJBKEPCTb ²٣\x00")), _NO_DIGITS)
+
+_LEAVES = st.one_of(
+    st.builds("{}{}".format, st.sampled_from("KEPC"), st.integers(0, 3)),
+    st.sampled_from(["C5'", "bull", "T3", "K(1,2)", "K(2,2)", "K(3)", "K()"]),
+)
+_EXPRESSIONS = st.one_of(
+    _LEAVES,
+    st.builds("~{}".format, _LEAVES),
+    st.builds("{}*{}".format, st.integers(0, 2), _LEAVES),
+    st.builds("{}({},{})".format, st.sampled_from("UJ"), _LEAVES, _LEAVES),
+    st.builds("B({},{})".format, _LEAVES, st.sampled_from(["K1", "E2", "K0", "X1"])),
+)
+
+
+@st.composite
+def _mangled(draw, base, max_cut):
+    text = draw(base)
+    for _ in range(draw(_MUTATIONS)):
+        at = draw(st.integers(0, len(text)))
+        cut = draw(st.integers(0, max_cut))
+        text = text[:at] + draw(st.text(_NOISE, max_size=2)) + text[at + cut :]
+    return text
+
+
+_GRAPH6_LINES = _mangled(st.builds(write_graph6, graphs(max_n=5)), max_cut=1)
+_ORDERS = st.sampled_from(["0", "1", "3", "5", "-1", "7", "99", "abc", "", "3..2", "1..4", "2..5"])
+_VOCABULARY = st.sampled_from(
+    ["analyze", "verify", "enumerate", "construct", "bound", "Dn2", "--n", "--max", "--d",
+     "--dim", "--format", "json", "csv", "text", "--errata", "--connected", "--graph6-file",
+     "--jobs", "-h", "--", "7", "1..3"]
+)
+
+
+@st.composite
+def _argv(draw, g6_path, missing_path):
+    command = draw(st.sampled_from(["analyze", "construct", "verify", "enumerate"]))
+    files = st.sampled_from([g6_path, missing_path, os.path.dirname(g6_path)])
+    if command == "analyze":
+        text = draw(st.one_of(_mangled(_EXPRESSIONS, max_cut=0), _GRAPH6_LINES))
+        argv = [command, text, "--format", draw(st.sampled_from(["json", "text", "xml"]))]
+    elif command == "construct":
+        argv = [command, draw(_mangled(_EXPRESSIONS, max_cut=0))]
+        argv += draw(st.sampled_from([[], ["--format", "json"]]))
+    elif command == "verify":
+        target = draw(st.sampled_from(["bound", "construction", "Dn", "Dn1", "Dn2", "Dn3", "Dn4"]))
+        argv = [command, target, "--n", draw(_ORDERS)]
+        if target == "construction" or draw(st.booleans()):
+            argv += ["--max", draw(st.sampled_from(["-5", "0", "1", "2", "3", "x"]))]
+        if draw(st.booleans()):
+            argv += ["--graph6-file", draw(files)]
+        argv += draw(st.sampled_from([[], ["--errata"], ["--format", "text"]]))
+    else:
+        argv = [command, "--n", draw(_ORDERS)]
+        argv += draw(st.sampled_from([[], ["--connected"], ["--d", "2"], ["--dim", "x"]]))
+        if draw(st.booleans()):
+            argv += ["--graph6-file", draw(files)]
+    for _ in range(draw(_MUTATIONS)):
+        at = draw(st.integers(0, len(argv)))
+        if draw(st.booleans()) and at < len(argv):
+            del argv[at]
+        else:
+            argv.insert(at, draw(st.one_of(_VOCABULARY, st.text(_NO_DIGITS, max_size=6))))
+    if argv and argv[0] in ("verify", "enumerate"):
+        argv += ["--jobs", "1"]
+    return argv
+
+
+@given(data=st.data())
+@settings(
+    max_examples=300,
+    deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture, HealthCheck.too_slow],
+)
+def test_malformed_input_ends_with_a_documented_exit_code(tmp_path, monkeypatch, data):
+    def no_pool(*args, **kwargs):
+        raise AssertionError("a process pool was started")
+
+    monkeypatch.setattr(multiprocessing, "Pool", no_pool)
+    g6_path = str(tmp_path / "input.g6")
+    lines = data.draw(st.lists(_GRAPH6_LINES, max_size=4), label="graph6 lines")
+    with open(g6_path, "w", encoding="utf-8", errors="surrogatepass") as handle:
+        handle.write("\n".join(lines) + "\n")
+    argv = data.draw(_argv(g6_path, str(tmp_path / "missing.g6")), label="argv")
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exit_:  # argparse: usage errors and --help
+            code = exit_.code
+    assert code in (0, 1, 2, 3), (code, err.getvalue())
+    if code == 1:
+        assert argv[0] == "verify" and "FAIL" in out.getvalue()
+    if code in (2, 3):
+        assert "error" in err.getvalue()

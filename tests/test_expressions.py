@@ -59,9 +59,19 @@ class TestParsing:
     def test_broom(self):
         assert build("T3").n == 7
 
+    def test_integers_up_to_the_vertex_cap(self):
+        assert build("K64").n == build("K064").n == 64
+        assert build("~" * 40 + "K3").n == 3
+
     @pytest.mark.parametrize(
         "bad",
-        ["", "K", "K(3)", "Q5", "2K2", "U(K2", "C4'", "J()", "B(P4)", "K2 K3", "~", "bul", "b5"],
+        [
+            "", "K", "K(3)", "Q5", "2K2", "U(K2", "C4'", "J()", "B(P4)", "K2 K3", "~", "bul",
+            "b5", "K65", "K99999999", "99999999*K1", "K(2,65)", "K\u00b2", "K\u0663",
+            pytest.param("K" + "9" * 5000, id="K-5000-digits"),
+            pytest.param("~" * 5000 + "K1", id="5000-complements"),
+            pytest.param("(" * 5000 + "K1" + ")" * 5000, id="5000-parentheses"),
+        ],
     )
     def test_rejects_malformed_input(self, bad):
         with pytest.raises(ExpressionError):

@@ -1,6 +1,7 @@
 """Canonical forms, isomorphism, enumeration counts, graph6 round-trips."""
 
 import os
+import random
 import subprocess
 import sys
 
@@ -39,6 +40,10 @@ from symbreak.isomorphism import (
 from conftest import graphs, graphs_with_permutation, relabel
 from oracles import brute_canonical_value
 
+def build(text):
+    return construct_family(parse_expression(text))
+
+
 #: classical counts of graphs up to isomorphism, all / connected
 CLASS_COUNTS = {1: 1, 2: 2, 3: 4, 4: 11, 5: 34, 6: 156}
 CONNECTED_COUNTS = {1: 1, 2: 1, 3: 2, 4: 6, 5: 21, 6: 112}
@@ -70,6 +75,45 @@ class TestCanonicalForm:
     @given(graphs_with_permutation(max_n=6))
     @settings(max_examples=80, deadline=None)
     def test_invariant_under_relabeling(self, pair):
+        g, perm = pair
+        assert canonical_form(g) == canonical_form(relabel(g, perm))
+
+    @pytest.mark.parametrize(
+        "g, value",
+        [
+            pytest.param(cycle_graph(10), 207522258944, id="C10"),
+            pytest.param(parse_graph6("IheA@GUAo"), 487837009056, id="Petersen"),
+            pytest.param(build("U(C5,C5)"), 207552266244, id="U(C5,C5)"),
+            pytest.param(build("~C10"), 8778845511404, id="~C10"),
+            pytest.param(cycle_graph(9), 816140800, id="C9"),
+            pytest.param(build("J(C5,C5)"), 8778844994796, id="J(C5,C5)"),
+        ],
+    )
+    def test_pinned_values_of_vertex_transitive_graphs(self, g, value):
+        # every vertex looks alike, so pruning does all the work here; a
+        # bound that overshoots would cut off the minimum
+        assert canonical_form(g).value == value
+
+    def test_matches_brute_force_on_every_labelled_graph_up_to_order_5(self):
+        checked = 0
+        for n in range(6):
+            for mask in range(1 << (n * (n - 1) // 2)):
+                g = graph_from_pair_mask(n, mask)
+                assert canonical_form(g).value == brute_canonical_value(g), (n, mask)
+                checked += 1
+        assert checked == 1100
+
+    def test_matches_brute_force_on_a_relabeling_of_every_order_6_class(self):
+        rng = random.Random(6)
+        for g in enumerate_graphs(6):
+            perm = list(range(6))
+            rng.shuffle(perm)
+            shuffled = relabel(g, tuple(perm))
+            assert canonical_form(shuffled).value == brute_canonical_value(g) == pair_mask(g)
+
+    @given(graphs_with_permutation(min_n=7, max_n=10))
+    @settings(max_examples=60, deadline=None)
+    def test_invariant_under_relabeling_up_to_the_cap(self, pair):
         g, perm = pair
         assert canonical_form(g) == canonical_form(relabel(g, perm))
 
