@@ -348,8 +348,8 @@ def classify_graph(g: Graph) -> ClassificationReport:
     if g.n < 1:
         raise GraphError("classification needs at least one vertex")
     connected = is_connected(g)
-    dim = metric_dimension(g).dim if connected else None
     dval = distinguishing_number(g)
+    dim = metric_dimension(g).dim if connected else None
     core = core_graph(g)
     matches: list[FamilyMatch] = []
     if g.n <= CANONICAL_MAX_VERTICES:

@@ -12,8 +12,10 @@ Subcommands::
 INPUT is either a graph6 line or a family expression (see the grammar in
 ``symbreak --help`` or :mod:`symbreak.expressions`).  Exit codes: 0 when
 everything passed, 1 when a verification failed, 2 on unparsable input, a
---jobs below 1, a --max below 2, a negative order or an order range that
-selects nothing, 3 when an order is beyond the supported bounds.
+--jobs below 1, a --max below 2, an order below 1 or an order range that
+selects nothing, 3 when a graph is beyond the supported bounds (an order
+above the enumeration cap, or a twin graph with more than 16 twin classes
+and a symmetry that moves them).
 """
 
 from __future__ import annotations
@@ -108,8 +110,8 @@ def _parse_order_range(text: str) -> list[int]:
         raise UsageError(f"--n expects an order or a range like 1..6, got {text!r}") from None
     if not orders:
         raise UsageError(f"--n {text} is an empty range")
-    if orders[0] < 0:
-        raise UsageError(f"--n orders must be non-negative, got {text!r}")
+    if orders[0] < 1:
+        raise UsageError(f"--n orders must be at least 1, got {text!r}")
     return orders
 
 
@@ -211,8 +213,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
 
 def cmd_enumerate(args: argparse.Namespace) -> int:
     jobs = _jobs(args.jobs)
-    if args.n < 0:
-        raise UsageError(f"--n must be non-negative, got {args.n}")
+    if args.n < 1:
+        raise UsageError(f"--n must be at least 1, got {args.n}")
     file_graphs = load_graph6_file(args.graph6_file) if args.graph6_file else None
     rows = enumeration_rows(
         args.n,

@@ -54,8 +54,7 @@ class Graph:
     adj: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not 0 <= self.n <= MAX_VERTICES:
-            raise GraphError(f"order must be between 0 and {MAX_VERTICES}, got {self.n}")
+        _check_order(self.n)
         if len(self.adj) != self.n:
             raise GraphError("number of adjacency rows does not match the order")
         full = (1 << self.n) - 1
@@ -115,6 +114,11 @@ def _bfs_row(adj: Sequence[int], n: int, src: int) -> tuple[float, ...]:
     return tuple(dist)
 
 
+def _check_order(n: int) -> None:
+    if not 0 <= n <= MAX_VERTICES:
+        raise GraphError(f"order must be between 0 and {MAX_VERTICES}, got {n}")
+
+
 def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
     """Build a graph from an edge list, symmetrising automatically.
 
@@ -122,8 +126,7 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
         GraphError: on an endpoint outside ``0..n-1``, a self-loop, or
             ``n`` above the 64-vertex cap.
     """
-    if not 0 <= n <= MAX_VERTICES:
-        raise GraphError(f"order must be between 0 and {MAX_VERTICES}, got {n}")
+    _check_order(n)
     rows = [0] * n
     for u, v in edges:
         if u == v:
@@ -250,6 +253,20 @@ def twin_partition(g: Graph) -> list[list[int]]:
     return classes
 
 
+def quotient_graph(g: Graph, classes: Sequence[Sequence[int]]) -> Graph:
+    """One vertex per class of a twin partition, two classes adjacent
+    exactly when their members are (twin classes are modules, so any
+    members will do)."""
+    m = len(classes)
+    edges = [
+        (a, b)
+        for a in range(m)
+        for b in range(a + 1, m)
+        if g.has_edge(classes[a][0], classes[b][0])
+    ]
+    return build_graph(m, edges)
+
+
 # ---------------------------------------------------------------------------
 # Named families
 # ---------------------------------------------------------------------------
@@ -332,18 +349,21 @@ class FamilySpec:
 def path_graph(n: int) -> Graph:
     if n < 1:
         raise GraphError("paths need at least one vertex")
+    _check_order(n)
     return build_graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle_graph(n: int) -> Graph:
     if n < 3:
         raise GraphError("cycles need at least three vertices")
+    _check_order(n)
     return build_graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def complete_graph(n: int) -> Graph:
     if n < 1:
         raise GraphError("complete graphs need at least one vertex")
+    _check_order(n)
     return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
 
 
@@ -368,6 +388,7 @@ def broom_tree(k: int) -> Graph:
     """
     if k < 3:
         raise GraphError(f"broom trees need k >= 3, got {k}")
+    _check_order(1 + k * (k + 1) // 2)
     edges = []
     nxt = 1
     for length in range(1, k + 1):

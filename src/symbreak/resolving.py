@@ -1,11 +1,18 @@
 """Resolving sets and exact metric dimension.
 
 A vertex set S resolves a connected graph when every vertex has a distinct
-vector of distances to S.  The minimum search exploits twin classes: any
-resolving set misses at most one vertex of each class (two twins left
-outside would share every distance), and twins are interchangeable, so the
-search fixes all but the first member of every class and only enumerates
-the class representatives on top.  The result equals the unpruned minimum.
+vector of distances to S, that is, when S meets the resolver set
+R(u, v) = {w : d(u, w) != d(v, w)} of every pair of distinct vertices.  So
+the metric dimension is the size of a minimum hitting set of the resolver
+sets (Chartrand, Eroh, Johnson & Oellermann, "Resolvability in graphs and
+the metric dimension of a graph", DAM 105 (2000)).
+
+The search first applies the twin rule: any resolving set misses at most
+one vertex of each twin class (two twins left outside would share every
+distance), and twins are interchangeable, so all but the first member of
+every class is forced into the set.  What remains is a hitting-set search
+over the class representatives, on the pairs the forced vertices leave
+unresolved.  The result equals the unpruned minimum.
 """
 
 from __future__ import annotations
@@ -13,7 +20,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, Sequence
+from typing import Iterable
 
 from .graphs import DisconnectedError, Graph, is_connected, shortest_path_matrix, twin_partition
 
@@ -35,26 +42,18 @@ def is_resolving(g: Graph, vertices: Iterable[int]) -> bool:
     """
     if not is_connected(g):
         raise DisconnectedError("resolving sets are defined for connected graphs")
-    return _resolves(shortest_path_matrix(g), sorted(set(vertices)))
-
-
-def _resolves(dist: Sequence[Sequence[float]], landmarks: Sequence[int]) -> bool:
-    """True when no two rows of ``dist`` agree on every landmark column."""
-    seen = set()
-    for row in dist:
-        vec = tuple(row[s] for s in landmarks)
-        if vec in seen:
-            return False
-        seen.add(vec)
-    return True
+    landmarks = sorted(set(vertices))
+    return len({tuple(row[s] for s in landmarks) for row in shortest_path_matrix(g)}) == g.n
 
 
 @lru_cache(maxsize=65536)
 def metric_dimension(g: Graph) -> ResolvingWitness:
     """Exact metric dimension with a witness attaining it.
 
-    Searches subsets in ascending size and returns the first success.  The
-    single-vertex graph has dimension 0 under the empty-set convention.
+    The witness holds the forced twins and a minimum hitting set, over the
+    class representatives, of the minimal resolver sets of the pairs the
+    forced twins leave unresolved.  The single-vertex graph has dimension 0
+    under the empty-set convention.
 
     Raises:
         DisconnectedError: on disconnected input.
@@ -64,13 +63,74 @@ def metric_dimension(g: Graph) -> ResolvingWitness:
     if not is_connected(g):
         raise DisconnectedError("metric dimension is defined for connected graphs")
     classes = twin_partition(g)
-    base = sorted(v for cls in classes for v in cls[1:])
-    representatives = sorted(cls[0] for cls in classes)
+    forced = [v for cls in classes for v in cls[1:]]
+    representatives = [cls[0] for cls in classes]
     dist = shortest_path_matrix(g)
 
-    for extra_size in range(len(representatives) + 1):
-        for extra in itertools.combinations(representatives, extra_size):
-            candidate = tuple(sorted(base + list(extra)))
-            if _resolves(dist, candidate):
-                return ResolvingWitness(len(candidate), candidate)
-    raise AssertionError("the full vertex set always resolves a connected graph")
+    # Vertices the forced twins leave unresolved share one distance vector.
+    alike: dict[tuple[float, ...], list[int]] = {}
+    for v in range(g.n):
+        alike.setdefault(tuple(dist[v][w] for w in forced), []).append(v)
+    resolvers = {
+        sum(1 << r for r in representatives if dist[u][r] != dist[v][r])
+        for group in alike.values()
+        for u, v in itertools.combinations(group, 2)
+    }
+    minimal: list[int] = []
+    for mask in sorted(resolvers, key=lambda mask: (mask.bit_count(), mask)):
+        if not any(kept & mask == kept for kept in minimal):
+            minimal.append(mask)
+    witness = tuple(sorted(forced + _min_hitting_set(minimal, representatives)))
+    return ResolvingWitness(len(witness), witness)
+
+
+def _min_hitting_set(sets: list[int], candidates: list[int]) -> list[int]:
+    """A smallest list of ``candidates`` that meets every bitmask in ``sets``
+    (each a nonempty set of candidates), in ascending order.
+
+    A candidate that meets only sets some other candidate meets too can be
+    swapped for that one, so only undominated candidates are kept (the
+    least of equals).  Then branch and bound: branch on the unhit set with
+    the fewest allowed candidates, forbid each tried candidate in the later
+    branches, and prune when the chosen count plus a greedy count of
+    pairwise-disjoint unhit sets cannot beat the best found so far.
+    """
+    meets = {w: sum(1 << i for i, mask in enumerate(sets) if mask >> w & 1) for w in candidates}
+    kept = 0
+    for w, mine in meets.items():
+        dominated = any(
+            mine & theirs == mine and (mine != theirs or x < w)
+            for x, theirs in meets.items()
+            if x != w
+        )
+        if mine and not dominated:
+            kept |= 1 << w
+    candidates = sorted(w for w in candidates if kept >> w & 1)
+    best = [kept]
+
+    def search(unhit: list[int], allowed: int, chosen: int, size: int) -> None:
+        if not unhit:
+            best[0] = chosen
+            return
+        bound, covered = 0, 0
+        target, fewest = 0, len(candidates) + 1
+        for mask in unhit:
+            options = mask & allowed
+            count = options.bit_count()
+            if not count:
+                return
+            if not options & covered:
+                bound += 1
+                covered |= options
+            if count < fewest:
+                target, fewest = options, count
+        if size + bound >= best[0].bit_count():
+            return
+        for w in candidates:
+            bit = 1 << w
+            if target & bit:
+                search([mask for mask in unhit if not mask & bit], allowed, chosen | bit, size + 1)
+                allowed &= ~bit
+
+    search(sets, kept, 0, 0)
+    return [w for w in candidates if best[0] >> w & 1]

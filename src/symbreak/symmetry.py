@@ -1,10 +1,19 @@
 """Automorphism groups, distinguishing colorings, and the resolving-set
 coloring that breaks every symmetry of a connected graph.
 
-The group is listed in full.  Orders are tiny at the scales verified
-exhaustively here (at most 6! for six vertices), membership scans fail fast,
-and sorting the elements by support size means a non-distinguishing coloring
-is usually refuted by one of the first few transposition-like elements.
+Distinguishing colorings are decided on the twin graph G*, whose vertices
+are the twin classes of G, each labelled by its size and type.  Every
+permutation inside a twin class is an automorphism of G, every
+automorphism of G permutes the classes as a label-preserving automorphism
+of G*, and every such automorphism of G* lifts to G.  So a coloring
+distinguishes G exactly when the vertices of each class get distinct
+colors and no nontrivial labelled automorphism of G* maps the color set of
+every class onto the color set of its image (Albertson & Collins,
+"Symmetry breaking in graphs", EJC 3 (1996) R18).  Only that labelled
+group is listed, never Aut(G) itself, and it is sorted by support size so
+that a non-distinguishing coloring is usually refuted by one of its first
+few elements.  ``automorphism_group`` still lists Aut(G) in full for
+enumeration and vertex orbits.
 """
 
 from __future__ import annotations
@@ -12,7 +21,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
 from .graphs import (
     DisconnectedError,
@@ -20,14 +29,18 @@ from .graphs import (
     GraphError,
     OrderLimitError,
     is_connected,
+    quotient_graph,
     shortest_path_matrix,
+    twin_partition,
 )
 from .resolving import is_resolving
 
-#: Full listing stays feasible well past ten vertices when the group is
-#: small; the verified constructions reach sixteen vertices with groups of
-#: order at most 24, so the vertex cap sits there.  The element cap guards
-#: against graphs whose group is too large to list at all.
+#: ``automorphism_group`` lists Aut(G) only up to this many vertices, and
+#: ``class_symmetries`` lists the labelled group of G* only up to this
+#: many twin classes.  Beyond it the labelled search only asks whether a
+#: nontrivial labelled automorphism exists: when none does, D is the
+#: largest class size at any order up to 64; when one does, the solvers
+#: refuse.  The element cap bounds either listing.
 AUT_MAX_VERTICES = 16
 AUT_MAX_GROUP_SIZE = 50_000
 
@@ -69,21 +82,30 @@ class Coloring:
             raise GraphError("vertex colors must lie in 1..k")
 
 
-def isometries(g: Graph, h: Graph, visit: Callable[[list[int]], bool | None]) -> bool:
+def isometries(
+    g: Graph,
+    h: Graph,
+    visit: Callable[[list[int]], bool | None],
+    colors: Sequence[Hashable] | None = None,
+) -> bool:
     """Pass every distance-preserving bijection from ``g`` onto ``h`` to ``visit``.
 
     On graphs these bijections are exactly the isomorphisms.  The search
-    backtracks over vertex images, filtering candidates by degree and
-    distance profile and forcing every assigned pair to preserve distance.
-    ``visit`` gets the one-line image list, which the search reuses (copy
-    it to keep it), and stops the search by returning True.  Returns True
-    exactly when ``visit`` stopped the search.
+    backtracks over vertex images, filtering candidates by color, degree
+    and distance profile and forcing every assigned pair to preserve
+    distance.  With ``colors``, vertex ``v`` of ``g`` may only map to a
+    vertex ``w`` of ``h`` with ``colors[w] == colors[v]``.  ``visit`` gets
+    the one-line image list, which the search reuses (copy it to keep it),
+    and stops the search by returning True.  Returns True exactly when
+    ``visit`` stopped the search.
     """
     n = g.n
+    if colors is None:
+        colors = [0] * n
     dist_g = shortest_path_matrix(g)
     dist_h = shortest_path_matrix(h)
-    profile_g = [(g.degree(v), tuple(sorted(dist_g[v]))) for v in range(n)]
-    profile_h = [(h.degree(w), tuple(sorted(dist_h[w]))) for w in range(n)]
+    profile_g = [(colors[v], g.degree(v), tuple(sorted(dist_g[v]))) for v in range(n)]
+    profile_h = [(colors[w], h.degree(w), tuple(sorted(dist_h[w]))) for w in range(n)]
     if sorted(profile_g) != sorted(profile_h):
         return False
     candidates = [[w for w in range(n) if profile_h[w] == profile_g[v]] for v in range(n)]
@@ -147,14 +169,61 @@ def vertex_orbits(g: Graph) -> list[list[int]]:
     return [list(orbit) for orbit in sorted(orbits)]
 
 
-def _supports(group: AutomorphismGroup) -> list[tuple[tuple[int, ...], tuple[int, ...]]]:
-    moved = []
-    for f in group.nontrivial():
-        moved.append((tuple(v for v in range(group.n) if f[v] != v), f))
-    return moved
+class ClassSymmetries(NamedTuple):
+    """The twin classes of a graph, in order of their least vertex, and the
+    nontrivial label-preserving automorphisms of its twin graph.
+
+    Each element of ``moved`` is ``(support, f)``: ``f`` maps class ``c``
+    to class ``f[c]`` and ``support`` lists the classes it moves.  They are
+    sorted by support size, so fail-fast scans meet small supports first.
+    """
+
+    classes: tuple[tuple[int, ...], ...]
+    moved: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
 
-def _breaks_all(colors: Sequence[int], moved: list[tuple[tuple[int, ...], tuple[int, ...]]]) -> bool:
+@lru_cache(maxsize=8192)
+def class_symmetries(g: Graph) -> ClassSymmetries:
+    """List the label-preserving automorphisms of the twin graph of ``g``.
+
+    A class is labelled by its size and by whether it is a clique, and the
+    labels prune the backtrack itself.
+
+    Raises:
+        OrderLimitError: when the labelled group has more than
+            ``AUT_MAX_GROUP_SIZE`` elements, or when the twin graph has more
+            than ``AUT_MAX_VERTICES`` classes and any nontrivial labelled
+            automorphism at all.
+    """
+    classes = tuple(tuple(cls) for cls in twin_partition(g))
+    m = len(classes)
+    labels = [(len(cls), len(cls) > 1 and g.has_edge(cls[0], cls[1])) for cls in classes]
+    moved: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
+
+    def keep(image: list[int]) -> None:
+        support = tuple(c for c in range(m) if image[c] != c)
+        if not support:
+            return
+        if m > AUT_MAX_VERTICES:
+            raise OrderLimitError(
+                f"the twin graph has {m} twin classes, above the {AUT_MAX_VERTICES} "
+                "supported, and a symmetry that moves twin classes"
+            )
+        moved.append((support, tuple(image)))
+        if len(moved) >= AUT_MAX_GROUP_SIZE:
+            raise OrderLimitError(
+                f"the labelled group of the twin graph exceeds {AUT_MAX_GROUP_SIZE} elements"
+            )
+
+    quotient = quotient_graph(g, classes)
+    isometries(quotient, quotient, keep, labels)
+    moved.sort(key=lambda pair: (len(pair[0]), pair[1]))
+    return ClassSymmetries(classes, tuple(moved))
+
+
+def _breaks_all(
+    colors: Sequence[int], moved: Sequence[tuple[tuple[int, ...], tuple[int, ...]]]
+) -> bool:
     for support, f in moved:
         for v in support:
             if colors[f[v]] != colors[v]:
@@ -165,30 +234,54 @@ def _breaks_all(colors: Sequence[int], moved: list[tuple[tuple[int, ...], tuple[
 
 
 def is_distinguishing(g: Graph, coloring: Coloring) -> bool:
-    """True when no non-identity automorphism preserves every color."""
+    """True when no non-identity automorphism preserves every color.
+
+    That holds exactly when no two vertices of a twin class share a color
+    and no nontrivial labelled automorphism of the twin graph maps each
+    class's color set onto that of its image.
+    """
     if len(coloring.colors) != g.n:
         raise GraphError("coloring length does not match the graph order")
-    return _breaks_all(coloring.colors, _supports(automorphism_group(g)))
+    symmetries = class_symmetries(g)
+    color_sets = []
+    for cls in symmetries.classes:
+        color_set = 0
+        for v in cls:
+            bit = 1 << coloring.colors[v]
+            if color_set & bit:
+                return False
+            color_set |= bit
+        color_sets.append(color_set)
+    return _breaks_all(color_sets, symmetries.moved)
 
 
 @lru_cache(maxsize=65536)
 def distinguishing_number(g: Graph) -> int:
     """Least number of colors admitting a distinguishing coloring.
 
-    Enumerates colorings as functions for ascending k, with vertex 0 pinned
-    to color 1 (renaming colors never changes whether a coloring
-    distinguishes).  Practical up to eight vertices for arbitrary graphs and
-    far beyond for graphs with small groups.
+    ``k`` counts up from the largest twin class.  Each class gets a set of
+    distinct colors from 1..k rather than a color per vertex, with class 0
+    pinned to the lowest colors (renaming colors never changes whether a
+    coloring distinguishes), and an assignment is refuted by any labelled
+    automorphism of the twin graph that maps every class's color set onto
+    that of its image.  The twin classes of G thus cost nothing, and a
+    graph without twins costs what a search over colorings of its vertices
+    costs.
     """
     if g.n == 0:
         raise GraphError("distinguishing number needs at least one vertex")
-    moved = _supports(automorphism_group(g))
-    if not moved:
-        return 1
-    n = g.n
-    for k in range(1, n + 1):
-        for rest in itertools.product(range(1, k + 1), repeat=n - 1):
-            if _breaks_all((1,) + rest, moved):
+    symmetries = class_symmetries(g)
+    sizes = [len(cls) for cls in symmetries.classes]
+    if not symmetries.moved:
+        return max(sizes)
+    first = (1 << sizes[0]) - 1
+    for k in range(max(sizes), g.n + 1):
+        choices = [
+            [sum(1 << c for c in combo) for combo in itertools.combinations(range(k), size)]
+            for size in sizes[1:]
+        ]
+        for rest in itertools.product(*choices):
+            if _breaks_all((first, *rest), symmetries.moved):
                 return k
     raise AssertionError("an all-distinct coloring always distinguishes")
 

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .graphs import Graph, build_graph, complement, is_connected, twin_partition
-from .symmetry import automorphism_group
+from .graphs import Graph, complement, is_connected, quotient_graph, twin_partition
+from .symmetry import class_symmetries
 
 #: Maximal classes of mutual twins, in order of their least vertex.
 twin_classes = twin_partition
@@ -56,33 +56,22 @@ def twin_graph(g: Graph) -> TwinStructure:
             types.append(TYPE_CLIQUE)
         else:
             types.append(TYPE_INDEPENDENT)
-    edges = [
-        (a, b)
-        for a in range(len(classes))
-        for b in range(a + 1, len(classes))
-        if g.has_edge(classes[a][0], classes[b][0])
-    ]
-    quotient = build_graph(len(classes), edges)
+    quotient = quotient_graph(g, classes)
     alpha = sum(1 for t in types if t != TYPE_SINGLETON)
     return TwinStructure(tuple(classes), tuple(types), quotient, alpha)
 
 
 def is_almost_asymmetric(g: Graph) -> bool:
-    """True when every automorphism maps each twin class onto itself.
+    """True when every automorphism maps each twin class onto itself, that
+    is, when the twin graph has no nontrivial label-preserving automorphism.
 
     In that case the only symmetries left are permutations inside classes,
     so the distinguishing number equals the largest class size.
+
+    Raises:
+        OrderLimitError: as :func:`symmetry.class_symmetries` does.
     """
-    structure = twin_graph(g)
-    class_id = [0] * g.n
-    for index, cls in enumerate(structure.classes):
-        for v in cls:
-            class_id[v] = index
-    for f in automorphism_group(g).nontrivial():
-        for v in range(g.n):
-            if class_id[f[v]] != class_id[v]:
-                return False
-    return True
+    return not class_symmetries(g).moved
 
 
 def core_graph(g: Graph) -> Graph:

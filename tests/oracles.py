@@ -51,6 +51,31 @@ def naive_metric_dimension(g: Graph) -> tuple[int, tuple[int, ...]]:
     raise AssertionError("the full vertex set always resolves")
 
 
+def tree_metric_dimension(g: Graph) -> int:
+    """Metric dimension of a tree by the leg formula: 0 for one vertex, 1 for
+    a path, and otherwise the leaves minus the exterior major vertices (a
+    vertex of degree at least 3 joined to some leaf by a path whose inner
+    vertices have degree 2).  See Slater, "Leaves of trees" (1975), and
+    Khuller, Raghavachari & Rosenfeld, "Landmarks in graphs", DAM 70 (1996).
+    """
+    n = g.n
+    neighbours = [[u for u in range(n) if g.adj[v] >> u & 1] for v in range(n)]
+    degree = [len(row) for row in neighbours]
+    assert sum(degree) == 2 * (n - 1), "not a tree"
+    if n == 1:
+        return 0
+    if max(degree) <= 2:
+        return 1
+    leaves = [v for v in range(n) if degree[v] == 1]
+    exterior = set()
+    for leaf in leaves:
+        previous, v = leaf, neighbours[leaf][0]
+        while degree[v] == 2:
+            previous, v = v, next(u for u in neighbours[v] if u != previous)
+        exterior.add(v)
+    return len(leaves) - len(exterior)
+
+
 def brute_canonical_value(g: Graph) -> int:
     """Minimum packed row-major upper-triangle value over all n! orderings."""
     n = g.n

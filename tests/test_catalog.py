@@ -266,6 +266,14 @@ class TestConstruction:
         assert distinguishing_number(g) == a
         assert metric_dimension(g).dim == b
 
+    @pytest.mark.parametrize("b", range(2, 10))
+    def test_prescribed_invariants_up_to_dimension_9(self, b):
+        # b = 9 reaches 56 vertices (the broom tree T10), far above the
+        # 16-vertex cap on listing Aut(G)
+        for a in range(1, b):
+            g = construction_graph(a, b)
+            assert (distinguishing_number(g), metric_dimension(g).dim) == (a, b)
+
     def test_order_of_the_largest_case(self):
         assert construction_graph(1, 4).n == 16
 

@@ -8,6 +8,7 @@ import multiprocessing
 import os
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -65,9 +66,30 @@ class TestAnalyze:
         assert "error" in err
 
     def test_order_beyond_bounds_exits_3(self, capsys):
-        code, _, err = run_cli(capsys, "analyze", "K(9,9)")
+        # C20 has no twins, so its twin graph has 20 classes and a nontrivial group
+        code, _, err = run_cli(capsys, "analyze", "C20")
         assert code == 3
-        assert "error" in err
+        assert "error" in err and "20 twin classes" in err
+
+    @pytest.mark.parametrize(
+        "expression, d, dim",
+        [
+            ("K(9,9)", 10, 16),
+            ("K9", 9, 8),
+            ("E11", 11, None),
+            ("J(K1,U(K1,K2,K3,K4,K5,K6,K7,K8,K9,K10))", 10, 45),
+            ("T8", 1, 7),
+        ],
+    )
+    def test_large_twin_classes_are_answered(self, capsys, expression, d, dim):
+        # none of these lists Aut(G); the 56-vertex join's twin graph is a star
+        # whose unlabelled group has 10! elements and whose labelled group is trivial
+        start = time.process_time()
+        code, out, _ = run_cli(capsys, "analyze", expression)
+        assert time.process_time() - start < 1.0
+        assert code == 0
+        payload = json.loads(out)
+        assert (payload["D"], payload["dim"]) == (d, dim)
 
 
 class TestVerify:
@@ -89,6 +111,13 @@ class TestVerify:
         assert code == 0
         (report,) = json.loads(out)
         assert report["scanned"] == 3 and report["verdict"] == "PASS"
+
+    def test_construction_up_to_37_vertices(self, capsys):
+        # construction_graph(1, 7) is the 37-vertex broom tree T8
+        code, out, _ = run_cli(capsys, "verify", "construction", "--max", "7")
+        assert code == 0
+        (report,) = json.loads(out)
+        assert (report["scanned"], report["matched"], report["verdict"]) == (21, 21, "PASS")
 
     def test_catalog_gap_is_reported_with_counterexamples(self, capsys, errata_withheld):
         # with the errata withheld the catalog is the paper's 14 rows, which
@@ -156,7 +185,15 @@ class TestVerify:
     def test_negative_orders_exit_2(self, capsys, target):
         code, out, err = run_cli(capsys, "verify", target, "--n", "-1")
         assert code == 2 and out == ""
-        assert "--n orders must be non-negative, got '-1'" in err
+        assert "--n orders must be at least 1, got '-1'" in err
+
+    @pytest.mark.parametrize("target", ["bound", "Dn", "Dn3"])
+    @pytest.mark.parametrize("orders", ["0", "0..3"])
+    def test_order_zero_exits_2(self, capsys, target, orders):
+        # order 0 has no vertices: it used to reach a solver, or print NOT_APPLICABLE and pass
+        code, out, err = run_cli(capsys, "verify", target, "--n", orders)
+        assert code == 2 and out == ""
+        assert f"--n orders must be at least 1, got '{orders}'" in err
 
     def test_orders_absent_from_the_file_exit_2(self, capsys, order7_path):
         argv = ["verify", "Dn3", "--graph6-file", order7_path]
@@ -253,7 +290,12 @@ class TestEnumerate:
     def test_negative_order_exits_2(self, capsys):
         code, out, err = run_cli(capsys, "enumerate", "--n", "-1")
         assert code == 2 and out == ""
-        assert "--n must be non-negative, got -1" in err
+        assert "--n must be at least 1, got -1" in err
+
+    def test_order_zero_exits_2(self, capsys):
+        code, out, err = run_cli(capsys, "enumerate", "--n", "0")
+        assert code == 2 and out == ""
+        assert "--n must be at least 1, got 0" in err
 
     def test_internal_bound_exits_3(self, capsys):
         code, _, err = run_cli(capsys, "enumerate", "--n", "7")

@@ -1,6 +1,7 @@
 """Graph construction, algebra, families, and distances."""
 
 import math
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -159,6 +160,23 @@ class TestFamilies:
     def test_broom_tree_rejects_small_k(self):
         with pytest.raises(GraphError):
             broom_tree(2)
+
+    @pytest.mark.parametrize(
+        "build, argument",
+        [
+            (complete_graph, 10**8),
+            (path_graph, 10**8),
+            (cycle_graph, 10**8),
+            (broom_tree, 10**5),
+            (broom_tree, 11),  # 67 vertices, one leg past the cap
+        ],
+    )
+    def test_oversized_families_are_refused_before_any_edge_is_built(self, build, argument):
+        # complete_graph(10**8) would need about 5 * 10**15 edges
+        start = time.process_time()
+        with pytest.raises(GraphError, match="order must be between 0 and 64"):
+            build(argument)
+        assert time.process_time() - start < 0.1
 
     def test_complete_bipartite_3_3(self):
         g = complete_multipartite_graph(3, 3)

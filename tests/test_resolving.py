@@ -4,10 +4,12 @@ import itertools
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symbreak import (
     DisconnectedError,
     broom_tree,
+    build_graph,
     complete_graph,
     cycle_graph,
     diameter,
@@ -21,7 +23,7 @@ from symbreak import (
 from symbreak.graphs import twin_partition
 
 from conftest import graphs
-from oracles import naive_metric_dimension
+from oracles import naive_metric_dimension, tree_metric_dimension
 
 
 class TestIsResolving:
@@ -111,3 +113,40 @@ def test_dimension_bounds(g):
         return
     dim = metric_dimension(g).dim
     assert 1 <= dim <= g.n - diameter(g)
+
+
+def _pruefer_edges(n: int, code: list[int]) -> list[tuple[int, int]]:
+    """The edges of the labelled tree on ``n >= 2`` vertices with Pruefer code ``code``."""
+    degree = [1] * n
+    for v in code:
+        degree[v] += 1
+    edges = []
+    for v in code:
+        leaf = min(u for u in range(n) if degree[u] == 1)
+        edges.append((leaf, v))
+        degree[leaf] -= 1
+        degree[v] -= 1
+    edges.append(tuple(u for u in range(n) if degree[u] == 1))
+    return edges
+
+
+@st.composite
+def pruefer_trees(draw, max_n: int = 64):
+    n = draw(st.integers(min_value=2, max_value=max_n))
+    code = draw(st.lists(st.integers(0, n - 1), min_size=n - 2, max_size=n - 2))
+    return build_graph(n, _pruefer_edges(n, code))
+
+
+class TestTreesAgainstTheLegFormula:
+    @given(pruefer_trees())
+    @settings(max_examples=150, deadline=None)
+    def test_random_trees_up_to_64_vertices(self, tree):
+        witness = metric_dimension(tree)
+        assert witness.dim == tree_metric_dimension(tree)
+        assert is_resolving(tree, witness.witness)
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_formula_matches_naive_enumeration_on_small_trees(self, n):
+        for g in enumerate_graphs(n, connected_only=True):
+            if g.edge_count == n - 1:
+                assert tree_metric_dimension(g) == naive_metric_dimension(g)[0]

@@ -1,12 +1,16 @@
 """Automorphism groups, distinguishing numbers, and the landmark coloring."""
 
+import csv
+import os
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symbreak import (
     Coloring,
     NotResolvingError,
+    OrderLimitError,
     automorphism_group,
     broom_tree,
     build_graph,
@@ -21,14 +25,18 @@ from symbreak import (
     empty_graph,
     enumerate_graphs,
     house_graph,
+    is_connected,
     is_distinguishing,
     metric_dimension,
+    parse_graph6,
     path_graph,
     shortest_path_matrix,
     vertex_orbits,
 )
 from symbreak.graphs import DisconnectedError, GraphError
-from symbreak.symmetry import isometries
+from symbreak.expressions import parse_expression
+from symbreak.graphs import construct_family
+from symbreak.symmetry import class_symmetries, isometries
 
 from conftest import graphs, graphs_with_permutation, relabel
 from oracles import brute_automorphisms, brute_distinguishing_number
@@ -177,12 +185,85 @@ class TestDistinguishingNumber:
     def test_matches_unreduced_brute_force(self, g):
         assert distinguishing_number(g) == brute_distinguishing_number(g)
 
+    @pytest.mark.parametrize("s", range(1, 21))
+    def test_balanced_complete_bipartite_up_to_40_vertices(self, s):
+        # two twin classes of size s that the swap exchanges: s colors give
+        # both classes the same set, so one more is needed
+        assert distinguishing_number(complete_multipartite_graph(s, s)) == s + 1
+
     @given(graphs(min_n=1, max_n=6))
     @settings(max_examples=40, deadline=None)
     def test_range_and_all_distinct_coloring(self, g):
         d = distinguishing_number(g)
         assert 1 <= d <= g.n
         assert is_distinguishing(g, Coloring(tuple(range(1, g.n + 1)), g.n))
+
+
+@st.composite
+def _colored_graphs(draw):
+    g = draw(graphs(min_n=1, max_n=6))
+    k = draw(st.integers(min_value=1, max_value=g.n))
+    colors = draw(st.lists(st.integers(1, k), min_size=g.n, max_size=g.n))
+    return g, Coloring(tuple(colors), k)
+
+
+@given(_colored_graphs())
+@settings(max_examples=300, deadline=None)
+def test_is_distinguishing_matches_brute_automorphisms(colored):
+    g, coloring = colored
+    colors = coloring.colors
+    identity = tuple(range(g.n))
+    preserved = [
+        f for f in brute_automorphisms(g)
+        if f != identity and all(colors[f[v]] == colors[v] for v in range(g.n))
+    ]
+    assert is_distinguishing(g, coloring) == (not preserved)
+
+
+class TestClassSymmetries:
+    def test_labels_prune_a_star_quotient(self):
+        # 56 vertices; the twin graph is a star with 10 leaves, whose unlabelled
+        # group has 10! elements, but the class sizes tell the leaves apart
+        g = construct_family(parse_expression("J(K1,U(K1,K2,K3,K4,K5,K6,K7,K8,K9,K10))"))
+        symmetries = class_symmetries(g)
+        assert len(symmetries.classes) == 11 and symmetries.moved == ()
+        assert distinguishing_number(g) == 10
+
+    def test_twin_free_graphs_beyond_the_class_cap(self):
+        # T8 has 37 twin classes and no symmetry at all
+        assert distinguishing_number(broom_tree(8)) == 1
+        with pytest.raises(OrderLimitError, match="20 twin classes"):
+            distinguishing_number(cycle_graph(20))
+
+    def test_one_element_per_labelled_automorphism(self):
+        # K(2,2,3): the two parts of size 2 swap; the part of size 3 is fixed
+        symmetries = class_symmetries(complete_multipartite_graph(2, 2, 3))
+        assert symmetries.classes == ((0, 1), (2, 3), (4, 5, 6))
+        assert symmetries.moved == (((0, 1), (1, 0, 2)),)
+
+    def test_isometries_respect_vertex_colors(self):
+        images = []
+        isometries(path_graph(3), path_graph(3), lambda f: images.append(tuple(f)), [1, 2, 1])
+        assert sorted(images) == [(0, 1, 2), (2, 1, 0)]
+        images.clear()
+        isometries(path_graph(3), path_graph(3), lambda f: images.append(tuple(f)), [1, 2, 3])
+        assert images == [(0, 1, 2)]
+
+
+class TestOrder7Invariants:
+    def test_every_class_of_order_7(self):
+        """``tests/data/order7_invariants.csv`` holds (graph6, D, dim) for the
+        1,044 classes of order 7, computed by the solvers that listed Aut(G)
+        and searched subsets of twin representatives, before the twin-graph
+        and hitting-set searches replaced them."""
+        path = os.path.join(os.path.dirname(__file__), "data", "order7_invariants.csv")
+        with open(path, newline="") as handle:
+            rows = list(csv.DictReader(handle))
+        assert len(rows) == 1044
+        for row in rows:
+            g = parse_graph6(row["graph6"])
+            dim = str(metric_dimension(g).dim) if is_connected(g) else ""
+            assert (str(distinguishing_number(g)), dim) == (row["D"], row["dim"]), row["graph6"]
 
 
 class TestColoringFromResolvingSet:
