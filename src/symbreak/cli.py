@@ -102,10 +102,10 @@ class UsageError(ValueError):
     """A command-line value that names no work to do."""
 
 
-def _parse_order_range(text: str) -> list[int]:
+def _parse_order_range(text: str) -> range:
     low, sep, high = text.partition("..")
     try:
-        orders = list(range(int(low), int(high if sep else low) + 1))
+        orders = range(int(low), int(high if sep else low) + 1)
     except ValueError:
         raise UsageError(f"--n expects an order or a range like 1..6, got {text!r}") from None
     if not orders:
@@ -176,8 +176,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             raise UsageError("verify needs --n (for example --n 4 or --n 1..6)")
         orders = _parse_order_range(args.n)
         if file_graphs is not None:
-            present = {g.n for g in file_graphs}
-            orders = [n for n in orders if n in present]
+            orders = sorted({g.n for g in file_graphs if g.n in orders})
             if not orders:
                 raise UsageError(f"{args.graph6_file} has no graph of an order in --n {args.n}")
         for n in orders:

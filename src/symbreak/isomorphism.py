@@ -15,14 +15,16 @@ search is exact for every order up to :data:`CANONICAL_MAX_VERTICES`.
 Exhaustive enumeration works at orders up to :data:`ENUMERATION_MAX_ORDER`
 by one-vertex augmentation: every representative of order ``n - 1`` gets a
 new vertex joined to one neighbourhood per orbit of its automorphism group,
-and the children are deduplicated by canonical form.  The generator also
-reaches order 7 (1,044 classes) in about 1 s, some 15 times the cost of
-order 6, and most of that is still canonical forms (about 63 search nodes
-per child).  The cap stays at 6; larger orders enter through graph6 files.
+read from the labelled group of its twin graph, and the children are
+deduplicated by canonical form.  The generator also reaches order 7 (1,044
+classes) in about 1 s, some 15 times the cost of order 6, and most of that
+is still canonical forms (about 63 search nodes per child).  The cap stays
+at 6; larger orders enter through graph6 files.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
@@ -34,7 +36,7 @@ from .graphs import (
     is_connected,
     twin_partition,
 )
-from .symmetry import automorphism_group, isometries
+from .symmetry import class_symmetries, isometries
 
 CANONICAL_MAX_VERTICES = 10
 ENUMERATION_MAX_ORDER = 6
@@ -170,28 +172,34 @@ def _canonical_masks(n: int) -> tuple[int, ...]:
     Every order-n graph is an order-(n-1) representative plus one vertex,
     so each class arises from some parent and some neighbourhood of the new
     vertex.  Neighbourhoods in one orbit of the parent's automorphism group
-    give isomorphic children, so only the smallest subset of each orbit is
-    tried; the children's canonical values are then deduplicated.
+    give isomorphic children, so only one subset per orbit is tried; the
+    children's canonical values are then deduplicated.
     """
     if n <= 1:
         return (0,)
     found = set()
     for parent_mask in _canonical_masks(n - 1):
         parent = graph_from_pair_mask(n - 1, parent_mask)
-        moves = automorphism_group(parent).nontrivial()
-        for subset in range(1 << (n - 1)):
-            if any(_image_mask(f, subset) < subset for f in moves):
-                continue
+        for subset in _orbit_subsets(parent):
             rows = [row | (subset >> v & 1) << (n - 1) for v, row in enumerate(parent.adj)]
             found.add(_min_row_major_value(Graph(n, (*rows, subset))))
     return tuple(sorted(found))
 
 
-def _image_mask(f: tuple[int, ...], subset: int) -> int:
-    image = 0
-    for v, w in enumerate(f):
-        image |= (subset >> v & 1) << w
-    return image
+def _orbit_subsets(g: Graph) -> Iterator[int]:
+    """Yield one vertex subset, as a bit mask, per orbit of Aut(g).
+
+    Permutations inside twin classes make two subsets equivalent exactly
+    when they take as many vertices from each class, so a subset is the
+    vector of those counts and always takes the first members of a class.
+    The labelled group of the twin graph permutes the vectors; the
+    lexicographically smallest of each orbit is kept.
+    """
+    classes, moved = class_symmetries(g)
+    for counts in itertools.product(*(range(len(cls) + 1) for cls in classes)):
+        if any(tuple(counts[d] for d in f) < counts for _, f in moved):
+            continue
+        yield sum(1 << v for cls, k in zip(classes, counts) for v in cls[:k])
 
 
 def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:

@@ -1,7 +1,7 @@
-"""Automorphism groups, distinguishing colorings, and the resolving-set
-coloring that breaks every symmetry of a connected graph.
+"""Symmetries read off the twin graph, distinguishing colorings, and the
+resolving-set coloring that breaks every symmetry of a connected graph.
 
-Distinguishing colorings are decided on the twin graph G*, whose vertices
+Every symmetry question is decided on the twin graph G*, whose vertices
 are the twin classes of G, each labelled by its size and type.  Every
 permutation inside a twin class is an automorphism of G, every
 automorphism of G permutes the classes as a label-preserving automorphism
@@ -9,11 +9,11 @@ of G*, and every such automorphism of G* lifts to G.  So a coloring
 distinguishes G exactly when the vertices of each class get distinct
 colors and no nontrivial labelled automorphism of G* maps the color set of
 every class onto the color set of its image (Albertson & Collins,
-"Symmetry breaking in graphs", EJC 3 (1996) R18).  Only that labelled
-group is listed, never Aut(G) itself, and it is sorted by support size so
-that a non-distinguishing coloring is usually refuted by one of its first
-few elements.  ``automorphism_group`` still lists Aut(G) in full for
-enumeration and vertex orbits.
+"Symmetry breaking in graphs", EJC 3 (1996) R18), and the vertex orbits of
+Aut(G) are unions of twin classes.  Only that labelled group is listed,
+never Aut(G) itself, and it is sorted by support size so that a
+non-distinguishing coloring is usually refuted by one of its first few
+elements.
 """
 
 from __future__ import annotations
@@ -35,37 +35,18 @@ from .graphs import (
 )
 from .resolving import is_resolving
 
-#: ``automorphism_group`` lists Aut(G) only up to this many vertices, and
-#: ``class_symmetries`` lists the labelled group of G* only up to this
-#: many twin classes.  Beyond it the labelled search only asks whether a
+#: ``class_symmetries`` lists the labelled group of G* only up to this many
+#: twin classes.  Beyond it the labelled search only asks whether a
 #: nontrivial labelled automorphism exists: when none does, D is the
-#: largest class size at any order up to 64; when one does, the solvers
-#: refuse.  The element cap bounds either listing.
+#: largest class size and every class is a vertex orbit at any order up to
+#: 64; when one does, the callers refuse.  The element cap bounds the
+#: listing.
 AUT_MAX_VERTICES = 16
 AUT_MAX_GROUP_SIZE = 50_000
 
 
 class NotResolvingError(GraphError):
     """The supplied vertex set does not resolve the graph."""
-
-
-@dataclass(frozen=True)
-class AutomorphismGroup:
-    """Every adjacency-preserving permutation, identity included.
-
-    Elements are one-line image tuples sorted by support size, identity
-    first, so fail-fast scans meet transposition-like elements early.
-    """
-
-    n: int
-    elements: tuple[tuple[int, ...], ...]
-
-    @property
-    def order(self) -> int:
-        return len(self.elements)
-
-    def nontrivial(self) -> tuple[tuple[int, ...], ...]:
-        return self.elements[1:]
 
 
 @dataclass(frozen=True)
@@ -100,6 +81,8 @@ def isometries(
     ``visit`` stopped the search.
     """
     n = g.n
+    if h.n != n:
+        return False
     if colors is None:
         colors = [0] * n
     dist_g = shortest_path_matrix(g)
@@ -131,42 +114,6 @@ def isometries(
         return False
 
     return bool(extend(0))
-
-
-@lru_cache(maxsize=8192)
-def automorphism_group(g: Graph) -> AutomorphismGroup:
-    """List the automorphism group of ``g`` exactly: the isometries from
-    ``g`` onto itself.
-
-    Raises:
-        OrderLimitError: above the vertex cap, or when the group has more
-            elements than can reasonably be listed.
-    """
-    n = g.n
-    if n > AUT_MAX_VERTICES:
-        raise OrderLimitError(
-            f"automorphism listing is supported up to {AUT_MAX_VERTICES} vertices, got {n}"
-        )
-    found: list[tuple[int, ...]] = []
-
-    def keep(image: list[int]) -> None:
-        found.append(tuple(image))
-        if len(found) > AUT_MAX_GROUP_SIZE:
-            raise OrderLimitError(f"automorphism group exceeds {AUT_MAX_GROUP_SIZE} elements")
-
-    isometries(g, g, keep)
-    found.sort(key=lambda f: (sum(1 for v in range(n) if f[v] != v), f))
-    return AutomorphismGroup(n, tuple(found))
-
-
-def vertex_orbits(g: Graph) -> list[list[int]]:
-    """Orbits of the automorphism group acting on the vertices.
-
-    The group is listed in full, so the orbit of ``v`` is its set of images.
-    """
-    elements = automorphism_group(g).elements
-    orbits = {tuple(sorted({f[v] for f in elements})) for v in range(g.n)}
-    return [list(orbit) for orbit in sorted(orbits)]
 
 
 class ClassSymmetries(NamedTuple):
@@ -219,6 +166,21 @@ def class_symmetries(g: Graph) -> ClassSymmetries:
     isometries(quotient, quotient, keep, labels)
     moved.sort(key=lambda pair: (len(pair[0]), pair[1]))
     return ClassSymmetries(classes, tuple(moved))
+
+
+def vertex_orbits(g: Graph) -> list[list[int]]:
+    """Orbits of the automorphism group acting on the vertices.
+
+    The orbit of a vertex is the union of the twin classes that the labelled
+    group maps its class onto.
+
+    Raises:
+        OrderLimitError: as :func:`class_symmetries` does.
+    """
+    classes, moved = class_symmetries(g)
+    images = [{c, *(f[c] for _, f in moved)} for c in range(len(classes))]
+    orbits = {tuple(sorted(v for d in orbit for v in classes[d])) for orbit in images}
+    return [list(orbit) for orbit in sorted(orbits)]
 
 
 def _breaks_all(

@@ -35,12 +35,6 @@ class TwinStructure:
     quotient: Graph
     alpha: int
 
-    def class_of(self, v: int) -> int:
-        for index, cls in enumerate(self.classes):
-            if v in cls:
-                return index
-        raise ValueError(f"vertex {v} not covered by the twin classes")
-
     def max_class_size(self) -> int:
         return max(len(cls) for cls in self.classes)
 

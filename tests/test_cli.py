@@ -14,6 +14,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+import symbreak
 from symbreak import broom_tree, write_graph6
 from symbreak.cli import main
 
@@ -204,6 +205,18 @@ class TestVerify:
         code, out, _ = run_cli(capsys, *argv, "--n", "6..8")
         assert [report["order"] for report in json.loads(out)] == [7]
 
+    def test_huge_order_ranges_stay_lazy(self, capsys, order7_path):
+        # the range is never listed: without a file the scan stops at the
+        # enumeration cap, and a file picks its own orders out of the range
+        huge = f"1..{10**24}"
+        code, out, err = run_cli(capsys, "verify", "bound", "--n", huge)
+        assert code == 3 and out == ""
+        assert "enumeration is capped" in err
+        argv = ["verify", "bound", "--n", f"7..{10**24}", "--graph6-file", order7_path]
+        code, out, _ = run_cli(capsys, *argv)
+        assert code == 0
+        assert [report["order"] for report in json.loads(out)] == [7]
+
     def test_bound_from_a_graph6_file(self, capsys, order7_path):
         code, out, _ = run_cli(
             capsys, "verify", "bound", "--n", "7", "--graph6-file", order7_path
@@ -338,10 +351,15 @@ def test_jobs_default_comes_from_the_environment(monkeypatch):
 
 
 def test_console_entry_point_runs():
+    # the child gets the package's own source root, however pytest found it
+    src = os.path.dirname(os.path.dirname(symbreak.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     result = subprocess.run(
         [sys.executable, "-m", "symbreak.cli", "analyze", "C5"],
         capture_output=True,
         text=True,
+        env=env,
         timeout=120,
     )
     assert result.returncode == 0

@@ -33,12 +33,13 @@ import symbreak
 from symbreak.isomorphism import (
     CANONICAL_MAX_VERTICES,
     _canonical_masks,
+    _orbit_subsets,
     graph_from_pair_mask,
     pair_mask,
 )
 
 from conftest import graphs, graphs_with_permutation, relabel
-from oracles import brute_canonical_value
+from oracles import brute_automorphisms, brute_canonical_value
 
 def build(text):
     return construct_family(parse_expression(text))
@@ -220,6 +221,20 @@ class TestEnumeration:
 
     def test_generator_reaches_every_order_7_class(self, order7_classes):
         assert set(_canonical_masks(7)) == {canonical_form(g).value for g in order7_classes}
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_one_neighbourhood_per_orbit_of_vertex_subsets(self, n):
+        # over every labelled graph of order n, the subsets the generator
+        # tries meet each orbit of Aut(g) on vertex subsets exactly once
+        for mask in range(1 << (n * (n - 1) // 2)):
+            g = graph_from_pair_mask(n, mask)
+            perms = brute_automorphisms(g)
+
+            def orbit_min(subset):
+                return min(sum(1 << p[v] for v in range(n) if subset >> v & 1) for p in perms)
+
+            tried = sorted(orbit_min(subset) for subset in _orbit_subsets(g))
+            assert tried == sorted({orbit_min(subset) for subset in range(1 << n)}), mask
 
     def test_importing_the_cli_loads_no_numpy(self):
         src = os.path.dirname(os.path.dirname(symbreak.__file__))

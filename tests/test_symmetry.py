@@ -11,7 +11,6 @@ from symbreak import (
     Coloring,
     NotResolvingError,
     OrderLimitError,
-    automorphism_group,
     broom_tree,
     build_graph,
     coloring_from_resolving_set,
@@ -42,44 +41,46 @@ from conftest import graphs, graphs_with_permutation, relabel
 from oracles import brute_automorphisms, brute_distinguishing_number
 
 
+def _self_maps(g):
+    """Every automorphism of ``g``, collected from the isometry backtrack."""
+    found = []
+    isometries(g, g, lambda image: found.append(tuple(image)))
+    return found
+
+
 class TestAutomorphismGroup:
     def test_k4_is_the_symmetric_group(self):
-        assert automorphism_group(complete_graph(4)).order == 24
+        assert len(_self_maps(complete_graph(4))) == 24
 
     def test_broom_trees_are_asymmetric(self):
         for k in (3, 4):
-            assert automorphism_group(broom_tree(k)).order == 1
+            assert len(_self_maps(broom_tree(k))) == 1
 
     def test_c4_is_dihedral(self):
-        assert automorphism_group(cycle_graph(4)).order == 8
-
-    def test_identity_comes_first_and_supports_ascend(self):
-        group = automorphism_group(cycle_graph(4))
-        assert group.elements[0] == (0, 1, 2, 3)
-        supports = [sum(1 for v in range(4) if f[v] != v) for f in group.elements]
-        assert supports == sorted(supports)
+        assert len(_self_maps(cycle_graph(4))) == 8
 
     def test_every_element_preserves_distances(self):
         g = house_graph()
         dist = shortest_path_matrix(g)
-        for f in automorphism_group(g).elements:
+        for f in _self_maps(g):
             for u in range(g.n):
                 for v in range(g.n):
                     assert dist[f[u]][f[v]] == dist[u][v]
 
     def test_closed_under_composition_and_inverse(self):
-        group = automorphism_group(complete_multipartite_graph(2, 2))
-        elements = set(group.elements)
-        for f in group.elements:
+        group = _self_maps(complete_multipartite_graph(2, 2))
+        elements = set(group)
+        assert len(elements) == len(group)
+        for f in group:
             inverse = tuple(sorted(range(len(f)), key=lambda v: f[v]))
             assert inverse in elements
-            for h in group.elements:
+            for h in group:
                 assert tuple(f[h[v]] for v in range(len(f))) in elements
 
     @given(graphs(min_n=1, max_n=5))
     @settings(max_examples=50, deadline=None)
     def test_matches_brute_force_listing(self, g):
-        assert set(automorphism_group(g).elements) == set(brute_automorphisms(g))
+        assert set(_self_maps(g)) == set(brute_automorphisms(g))
 
 
 class TestVertexOrbits:
@@ -93,6 +94,17 @@ class TestVertexOrbits:
     def test_house_orbits_follow_its_group(self):
         # group is generated by the single reflection (0 2)(3 4)
         assert vertex_orbits(house_graph()) == [[0, 2], [1], [3, 4]]
+
+    def test_twin_classes_beyond_sixteen_vertices(self):
+        # one twin class, and two that the swap exchanges
+        assert vertex_orbits(complete_graph(20)) == [list(range(20))]
+        assert vertex_orbits(complete_multipartite_graph(9, 9)) == [list(range(18))]
+
+    def test_twin_free_graphs_beyond_the_class_cap(self):
+        # T8 has 37 twin classes and no symmetry; C20 has 20 classes that move
+        assert vertex_orbits(broom_tree(8)) == [[v] for v in range(37)]
+        with pytest.raises(OrderLimitError, match="20 twin classes"):
+            vertex_orbits(cycle_graph(20))
 
     @given(graphs(min_n=1, max_n=6))
     @settings(max_examples=50, deadline=None)
@@ -123,6 +135,7 @@ class TestIsometries:
 
     def test_no_isometry_between_different_orders(self):
         assert not isometries(path_graph(3), path_graph(4), lambda image: True)
+        assert not isometries(path_graph(4), path_graph(3), lambda image: True)
 
 
 class TestIsDistinguishing:
@@ -176,7 +189,7 @@ class TestDistinguishingNumber:
              (5, 7), (7, 9), (9, 6), (6, 8), (8, 5),
              (0, 5), (1, 6), (2, 7), (3, 8), (4, 9)],
         )
-        assert automorphism_group(petersen).order == 120
+        assert len(_self_maps(petersen)) == 120
         assert distinguishing_number(petersen) == 3
         assert metric_dimension(petersen).dim == 3
 
