@@ -106,17 +106,27 @@ class FamilyInstance:
     matches: tuple[FamilyMatch, ...]
 
 
-K = FamilySpec.complete
-E = FamilySpec.empty
-P = FamilySpec.path
-C = FamilySpec.cycle
-B = FamilySpec.multipartite
-M = FamilySpec.multipartite
-U = FamilySpec.union_of
-J = FamilySpec.join_of
-BU = FamilySpec.blow
-HOUSE = FamilySpec.house()
-BULL = FamilySpec.bull()
+def _leaf(kind: str) -> Callable[..., FamilySpec]:
+    return lambda *params: FamilySpec(kind, params)
+
+
+def _combinator(kind: str) -> Callable[..., FamilySpec]:
+    return lambda *parts: FamilySpec(kind, parts=parts)
+
+
+def BU(base: FamilySpec, *pieces: tuple[int, str]) -> FamilySpec:
+    return FamilySpec("blow_up", parts=(base,), pieces=pieces)
+
+
+K = _leaf("complete")
+E = _leaf("empty")
+P = _leaf("path")
+C = _leaf("cycle")
+B = M = _leaf("complete_multipartite")
+U = _combinator("union")
+J = _combinator("join")
+HOUSE = FamilySpec("house")
+BULL = FamilySpec("bull")
 
 
 def _const(spec: FamilySpec) -> Callable[[int], FamilySpec]:

@@ -24,7 +24,6 @@ import argparse
 import csv
 import io
 import json
-import os
 import sys
 
 from .catalog import (
@@ -34,7 +33,7 @@ from .catalog import (
 )
 from .expressions import ExpressionError, parse_expression
 from .graphs import Graph, GraphError, OrderLimitError, construct_family
-from .isomorphism import Graph6Error, parse_graph6, write_graph6
+from .isomorphism import Graph6Error, check_enumeration_order, parse_graph6, write_graph6
 from .verify import (
     VerifyReport,
     check_bound,
@@ -60,14 +59,6 @@ _GRAMMAR = """family expression grammar (whitespace ignored):
   ~x                         complement
 examples: K(3,3)   J(K1,U(K1,2*K2))   B(P4,K1,E3,K1,K1)   ~C5
 """
-
-
-def _jobs_default() -> int:
-    raw = os.environ.get("SYMMETRIC_JOBS", "")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 def _read_graph(text: str) -> Graph:
@@ -179,6 +170,8 @@ def cmd_verify(args: argparse.Namespace) -> int:
             orders = sorted({g.n for g in file_graphs if g.n in orders})
             if not orders:
                 raise UsageError(f"{args.graph6_file} has no graph of an order in --n {args.n}")
+        else:
+            check_enumeration_order(orders[-1])
         for n in orders:
             if args.target == "bound":
                 results.append(check_bound(n, graphs=file_graphs, jobs=jobs))
@@ -251,7 +244,6 @@ def build_parser() -> argparse.ArgumentParser:
         formatter_class=argparse.RawDescriptionHelpFormatter,
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    jobs_default = _jobs_default()
 
     p_analyze = sub.add_parser("analyze", help="analyze one graph6 line or family expression")
     p_analyze.add_argument("input")
@@ -267,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--max", type=int, default=4, help="construction: largest dimension")
     p_verify.add_argument("--graph6-file", help="scan graphs from this file instead")
     p_verify.add_argument("--format", choices=["json", "text"], default="json")
-    p_verify.add_argument("--jobs", type=int, default=jobs_default)
+    p_verify.add_argument("--jobs", type=int, default=1)
     p_verify.add_argument(
         "--errata",
         action="store_true",
@@ -283,7 +275,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_enum.add_argument("--dim", type=int, help="keep rows with this metric dimension")
     p_enum.add_argument("--graph6-file", help="rows from this file instead of enumeration")
     p_enum.add_argument("--format", choices=["csv", "json"], default="csv")
-    p_enum.add_argument("--jobs", type=int, default=jobs_default)
+    p_enum.add_argument("--jobs", type=int, default=1)
     p_enum.set_defaults(func=cmd_enumerate)
 
     p_construct = sub.add_parser("construct", help="build a family expression")

@@ -29,6 +29,7 @@ Examples: ``K(3,3)``, ``J(K1,U(K1,2*K2))``, ``B(P4,K1,E3,K1,K1)``, ``~C5``.
 
 from __future__ import annotations
 
+import itertools
 from typing import Callable
 
 from .graphs import LEAF_KINDS, MAX_VERTICES, FamilySpec
@@ -102,7 +103,7 @@ class _Parser:
             sub = self.expr()
             if count < 1:
                 raise self.error("copy counts must be at least 1")
-            return sub if count == 1 else FamilySpec.union_of(*([sub] * count))
+            return sub if count == 1 else FamilySpec("union", parts=(sub,) * count)
         return self.atom()
 
     @_nested
@@ -110,7 +111,7 @@ class _Parser:
         ch = self.peek()
         if ch == "~":
             self.take("~")
-            return FamilySpec.complement_of(self.atom())
+            return FamilySpec("complement", parts=(self.atom(),))
         if ch == "(":
             self.take("(")
             sub = self.expr()
@@ -118,16 +119,16 @@ class _Parser:
             return sub
         if ch == "U":
             self.take("U")
-            return FamilySpec.union_of(*self.args(self.expr))
+            return FamilySpec("union", parts=self.args(self.expr))
         if ch == "J":
             self.take("J")
-            return FamilySpec.join_of(*self.args(self.expr))
+            return FamilySpec("join", parts=self.args(self.expr))
         if ch == "B":
             self.take("B")
             base, *pieces = self.args(self.expr, self.piece)
             if not pieces:
                 raise self.error("B(...) needs blow-up pieces after the base")
-            return FamilySpec.blow(base, *pieces)
+            return FamilySpec("blow_up", parts=(base,), pieces=tuple(pieces))
         return self.leaf()
 
     def leaf(self) -> FamilySpec:
@@ -140,10 +141,10 @@ class _Parser:
                 return FamilySpec(kind)
             if (self.peek() == "(") != (leaf.arity == 2):
                 continue
-            params = self.args(self.integer) if leaf.arity == 2 else [self.integer()]
+            params = self.args(self.integer) if leaf.arity == 2 else (self.integer(),)
             if len(params) < leaf.arity:
                 raise self.error(f"{leaf.name}(...) needs at least two parameters")
-            return FamilySpec(kind, tuple(params))
+            return FamilySpec(kind, params)
         self.pos = start
         raise self.error("expected a family expression")
 
@@ -164,7 +165,7 @@ class _Parser:
             return (self.integer(), "empty")
         raise self.error("blow-up pieces must be K<int> or E<int>")
 
-    def args(self, first: Callable, rest: Callable | None = None) -> list:
+    def args(self, first: Callable, rest: Callable | None = None) -> tuple:
         """A parenthesised, comma-separated list: ``first`` parses its first
         item and ``rest`` (``first`` when omitted) every later one."""
         self.take("(")
@@ -173,7 +174,7 @@ class _Parser:
             self.take(",")
             values.append((rest or first)())
         self.take(")")
-        return values
+        return tuple(values)
 
 
 def parse_expression(text: str) -> FamilySpec:
@@ -199,19 +200,13 @@ def format_spec(spec: FamilySpec) -> str:
     if kind == "complement":
         return "~" + _atomic(spec.parts[0])
     if kind in ("union", "join"):
-        groups: list[str] = []
-        at = 0
-        while at < len(spec.parts):
-            part = spec.parts[at]
-            count = 1
-            # The m* shorthand means m disjoint copies, so runs may only be
-            # collapsed inside unions.
-            if kind == "union":
-                while at + count < len(spec.parts) and spec.parts[at + count] == part:
-                    count += 1
-            rendered = format_spec(part)
-            groups.append(rendered if count == 1 else f"{count}*{rendered}")
-            at += count
+        # The m* shorthand means m disjoint copies, so runs may only be
+        # collapsed inside unions.
+        if kind == "union":
+            runs = [(part, len(list(run))) for part, run in itertools.groupby(spec.parts)]
+        else:
+            runs = [(part, 1) for part in spec.parts]
+        groups = [format_spec(p) if m == 1 else f"{m}*{format_spec(p)}" for p, m in runs]
         letter = "U" if kind == "union" else "J"
         if len(groups) == 1:
             return groups[0]

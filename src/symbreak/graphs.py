@@ -253,20 +253,6 @@ def twin_partition(g: Graph) -> list[list[int]]:
     return classes
 
 
-def quotient_graph(g: Graph, classes: Sequence[Sequence[int]]) -> Graph:
-    """One vertex per class of a twin partition, two classes adjacent
-    exactly when their members are (twin classes are modules, so any
-    members will do)."""
-    m = len(classes)
-    edges = [
-        (a, b)
-        for a in range(m)
-        for b in range(a + 1, m)
-        if g.has_edge(classes[a][0], classes[b][0])
-    ]
-    return build_graph(m, edges)
-
-
 # ---------------------------------------------------------------------------
 # Named families
 # ---------------------------------------------------------------------------
@@ -295,55 +281,6 @@ class FamilySpec:
     def __post_init__(self) -> None:
         if self.kind not in LEAF_KINDS and self.kind not in _COMBINATORS:
             raise GraphError(f"unknown family kind {self.kind!r}")
-
-    # Shorthand constructors keep catalog tables readable.
-    @staticmethod
-    def path(n: int) -> "FamilySpec":
-        return FamilySpec("path", (n,))
-
-    @staticmethod
-    def cycle(n: int) -> "FamilySpec":
-        return FamilySpec("cycle", (n,))
-
-    @staticmethod
-    def complete(n: int) -> "FamilySpec":
-        return FamilySpec("complete", (n,))
-
-    @staticmethod
-    def empty(n: int) -> "FamilySpec":
-        return FamilySpec("empty", (n,))
-
-    @staticmethod
-    def multipartite(*sizes: int) -> "FamilySpec":
-        return FamilySpec("complete_multipartite", tuple(sizes))
-
-    @staticmethod
-    def broom(k: int) -> "FamilySpec":
-        return FamilySpec("broom_tree", (k,))
-
-    @staticmethod
-    def house() -> "FamilySpec":
-        return FamilySpec("house")
-
-    @staticmethod
-    def bull() -> "FamilySpec":
-        return FamilySpec("bull")
-
-    @staticmethod
-    def complement_of(sub: "FamilySpec") -> "FamilySpec":
-        return FamilySpec("complement", parts=(sub,))
-
-    @staticmethod
-    def union_of(*subs: "FamilySpec") -> "FamilySpec":
-        return FamilySpec("union", parts=tuple(subs))
-
-    @staticmethod
-    def join_of(*subs: "FamilySpec") -> "FamilySpec":
-        return FamilySpec("join", parts=tuple(subs))
-
-    @staticmethod
-    def blow(base: "FamilySpec", *pieces: tuple[int, str]) -> "FamilySpec":
-        return FamilySpec("blow_up", parts=(base,), pieces=tuple(pieces))
 
 
 def path_graph(n: int) -> Graph:

@@ -156,12 +156,6 @@ def graph_from_pair_mask(n: int, mask: int) -> Graph:
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:
     """True when some bijection maps the edges of ``g`` exactly onto ``h``."""
-    if g.n != h.n or g.edge_count != h.edge_count:
-        return False
-    if g.degree_sequence() != h.degree_sequence():
-        return False
-    if g.n <= CANONICAL_MAX_VERTICES:
-        return canonical_form(g) == canonical_form(h)
     return isometries(g, h, lambda _image: True)
 
 
@@ -202,6 +196,15 @@ def _orbit_subsets(g: Graph) -> Iterator[int]:
         yield sum(1 << v for cls, k in zip(classes, counts) for v in cls[:k])
 
 
+def check_enumeration_order(n: int) -> None:
+    """Raise OrderLimitError when ``n`` is above the internal generation bound."""
+    if n > ENUMERATION_MAX_ORDER:
+        raise OrderLimitError(
+            f"internal enumeration is capped at order {ENUMERATION_MAX_ORDER}; "
+            "supply a graph6 file for larger orders"
+        )
+
+
 def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
     """Yield one representative per isomorphism class of order ``n``.
 
@@ -213,11 +216,7 @@ def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
         OrderLimitError: for n above the internal generation bound; larger
             orders must be supplied as graph6 input instead.
     """
-    if n > ENUMERATION_MAX_ORDER:
-        raise OrderLimitError(
-            f"internal enumeration is capped at order {ENUMERATION_MAX_ORDER}; "
-            "supply a graph6 file for larger orders"
-        )
+    check_enumeration_order(n)
     if n < 0:
         raise OrderLimitError("order must be non-negative")
     for mask in _canonical_masks(n):

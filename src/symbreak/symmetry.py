@@ -29,11 +29,10 @@ from .graphs import (
     GraphError,
     OrderLimitError,
     is_connected,
-    quotient_graph,
     shortest_path_matrix,
-    twin_partition,
 )
 from .resolving import is_resolving
+from .twins import twin_graph
 
 #: ``class_symmetries`` lists the labelled group of G* only up to this many
 #: twin classes.  Beyond it the labelled search only asks whether a
@@ -133,8 +132,8 @@ class ClassSymmetries(NamedTuple):
 def class_symmetries(g: Graph) -> ClassSymmetries:
     """List the label-preserving automorphisms of the twin graph of ``g``.
 
-    A class is labelled by its size and by whether it is a clique, and the
-    labels prune the backtrack itself.
+    A class is labelled by its size and type, and the labels prune the
+    backtrack itself.
 
     Raises:
         OrderLimitError: when the labelled group has more than
@@ -142,9 +141,9 @@ def class_symmetries(g: Graph) -> ClassSymmetries:
             than ``AUT_MAX_VERTICES`` classes and any nontrivial labelled
             automorphism at all.
     """
-    classes = tuple(tuple(cls) for cls in twin_partition(g))
-    m = len(classes)
-    labels = [(len(cls), len(cls) > 1 and g.has_edge(cls[0], cls[1])) for cls in classes]
+    structure = twin_graph(g)
+    m = len(structure.classes)
+    labels = [(len(cls), kind) for cls, kind in zip(structure.classes, structure.types)]
     moved: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
 
     def keep(image: list[int]) -> None:
@@ -162,10 +161,22 @@ def class_symmetries(g: Graph) -> ClassSymmetries:
                 f"the labelled group of the twin graph exceeds {AUT_MAX_GROUP_SIZE} elements"
             )
 
-    quotient = quotient_graph(g, classes)
-    isometries(quotient, quotient, keep, labels)
+    isometries(structure.quotient, structure.quotient, keep, labels)
     moved.sort(key=lambda pair: (len(pair[0]), pair[1]))
-    return ClassSymmetries(classes, tuple(moved))
+    return ClassSymmetries(structure.classes, tuple(moved))
+
+
+def is_almost_asymmetric(g: Graph) -> bool:
+    """True when every automorphism maps each twin class onto itself, that
+    is, when the twin graph has no nontrivial label-preserving automorphism.
+
+    In that case the only symmetries left are permutations inside classes,
+    so the distinguishing number equals the largest class size.
+
+    Raises:
+        OrderLimitError: as :func:`class_symmetries` does.
+    """
+    return not class_symmetries(g).moved
 
 
 def vertex_orbits(g: Graph) -> list[list[int]]:
@@ -222,28 +233,30 @@ def distinguishing_number(g: Graph) -> int:
     """Least number of colors admitting a distinguishing coloring.
 
     ``k`` counts up from the largest twin class.  Each class gets a set of
-    distinct colors from 1..k rather than a color per vertex, with class 0
-    pinned to the lowest colors (renaming colors never changes whether a
-    coloring distinguishes), and an assignment is refuted by any labelled
-    automorphism of the twin graph that maps every class's color set onto
-    that of its image.  The twin classes of G thus cost nothing, and a
-    graph without twins costs what a search over colorings of its vertices
-    costs.
+    distinct colors from 1..k rather than a color per vertex, and an
+    assignment is refuted by any labelled automorphism of the twin graph
+    that maps every class's color set onto that of its image.  Only the
+    classes that some labelled automorphism moves can take part in a
+    refutation, so only their color sets vary, the first of them pinned to
+    the lowest colors (renaming colors never changes whether a coloring
+    distinguishes).  The twin classes of G and the classes fixed by every
+    symmetry thus cost nothing, and the rest costs what a search over
+    colorings of the moved classes costs.
     """
     if g.n == 0:
         raise GraphError("distinguishing number needs at least one vertex")
     symmetries = class_symmetries(g)
     sizes = [len(cls) for cls in symmetries.classes]
-    if not symmetries.moved:
-        return max(sizes)
-    first = (1 << sizes[0]) - 1
+    # only these classes vary; every other one keeps its lowest colors
+    varied = sorted({c for support, _ in symmetries.moved for c in support})[1:]
     for k in range(max(sizes), g.n + 1):
+        palettes = [range(k if d in varied else size) for d, size in enumerate(sizes)]
         choices = [
-            [sum(1 << c for c in combo) for combo in itertools.combinations(range(k), size)]
-            for size in sizes[1:]
+            [sum(1 << c for c in combo) for combo in itertools.combinations(palette, size)]
+            for palette, size in zip(palettes, sizes)
         ]
-        for rest in itertools.product(*choices):
-            if _breaks_all((first, *rest), symmetries.moved):
+        for color_sets in itertools.product(*choices):
+            if _breaks_all(color_sets, symmetries.moved):
                 return k
     raise AssertionError("an all-distinct coloring always distinguishes")
 

@@ -9,10 +9,10 @@ their members are.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
-from .graphs import Graph, complement, is_connected, quotient_graph, twin_partition
-from .symmetry import class_symmetries
+from .graphs import Graph, build_graph, complement, is_connected, twin_partition
 
 #: Maximal classes of mutual twins, in order of their least vertex.
 twin_classes = twin_partition
@@ -50,22 +50,12 @@ def twin_graph(g: Graph) -> TwinStructure:
             types.append(TYPE_CLIQUE)
         else:
             types.append(TYPE_INDEPENDENT)
-    quotient = quotient_graph(g, classes)
+    # twin classes are modules, so any members tell whether two classes are adjacent
+    pairs = itertools.combinations(range(len(classes)), 2)
+    edges = [(a, b) for a, b in pairs if g.has_edge(classes[a][0], classes[b][0])]
+    quotient = build_graph(len(classes), edges)
     alpha = sum(1 for t in types if t != TYPE_SINGLETON)
     return TwinStructure(tuple(classes), tuple(types), quotient, alpha)
-
-
-def is_almost_asymmetric(g: Graph) -> bool:
-    """True when every automorphism maps each twin class onto itself, that
-    is, when the twin graph has no nontrivial label-preserving automorphism.
-
-    In that case the only symmetries left are permutations inside classes,
-    so the distinguishing number equals the largest class size.
-
-    Raises:
-        OrderLimitError: as :func:`symmetry.class_symmetries` does.
-    """
-    return not class_symmetries(g).moved
 
 
 def core_graph(g: Graph) -> Graph:

@@ -217,6 +217,20 @@ class TestVerify:
         assert code == 0
         assert [report["order"] for report in json.loads(out)] == [7]
 
+    @pytest.mark.parametrize(
+        "target, check", [("bound", "check_bound"), ("Dn3", "check_characterization")]
+    )
+    def test_ranges_over_the_cap_are_refused_before_any_scan(
+        self, capsys, monkeypatch, target, check
+    ):
+        def no_scan(*args, **kwargs):
+            raise AssertionError("an order was scanned")
+
+        monkeypatch.setattr(f"symbreak.cli.{check}", no_scan)
+        code, out, err = run_cli(capsys, "verify", target, "--n", "1..7")
+        assert code == 3 and out == ""
+        assert "enumeration is capped at order 6" in err
+
     def test_bound_from_a_graph6_file(self, capsys, order7_path):
         code, out, _ = run_cli(
             capsys, "verify", "bound", "--n", "7", "--graph6-file", order7_path
@@ -337,17 +351,6 @@ class TestConstructCommand:
         code, out, _ = run_cli(capsys, "construct", "J(K1,P4)", "--format", "json")
         payload = json.loads(out)
         assert payload["n"] == 5 and payload["edges"] == 7
-
-
-def test_jobs_default_comes_from_the_environment(monkeypatch):
-    from symbreak.cli import build_parser
-
-    monkeypatch.setenv("SYMMETRIC_JOBS", "3")
-    args = build_parser().parse_args(["enumerate", "--n", "4"])
-    assert args.jobs == 3
-    monkeypatch.setenv("SYMMETRIC_JOBS", "not a number")
-    args = build_parser().parse_args(["enumerate", "--n", "4"])
-    assert args.jobs == 1
 
 
 def test_console_entry_point_runs():

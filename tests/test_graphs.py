@@ -194,21 +194,19 @@ class TestFamilies:
         assert g.n == 5 and g.edge_count == 5
         assert g.degree_sequence() == (1, 1, 2, 3, 3)
         assert are_isomorphic(complement(g), g)
-        assert construct_family(FamilySpec.bull()) == g
+        assert construct_family(FamilySpec("bull")) == g
 
     def test_construct_family_tree_expressions(self):
-        spec = FamilySpec.join_of(
-            FamilySpec.complete(1),
-            FamilySpec.union_of(FamilySpec.complete(2), FamilySpec.complete(1)),
-        )
+        k1, k2 = FamilySpec("complete", (1,)), FamilySpec("complete", (2,))
+        spec = FamilySpec("join", parts=(k1, FamilySpec("union", parts=(k2, k1))))
         g = construct_family(spec)
         assert g.n == 4 and g.degree(0) == 3
 
     def test_construct_family_rejects_bad_parameters(self):
         with pytest.raises(GraphError):
-            construct_family(FamilySpec.cycle(2))
+            construct_family(FamilySpec("cycle", (2,)))
         with pytest.raises(GraphError):
-            construct_family(FamilySpec.broom(1))
+            construct_family(FamilySpec("broom_tree", (1,)))
 
 
 class TestDistances:

@@ -130,6 +130,18 @@ class TestAreIsomorphic:
         two_k2 = disjoint_union(complete_graph(2), complete_graph(2))
         assert not are_isomorphic(cycle_graph(4), two_k2)
 
+    def test_agrees_with_canonical_forms_on_every_labelled_graph_up_to_order_5(self):
+        pairs = 0
+        for n in range(1, 6):
+            classes = list(enumerate_graphs(n))
+            for mask in range(1 << (n * (n - 1) // 2)):
+                g = graph_from_pair_mask(n, mask)
+                form = canonical_form(g)
+                for r in classes:
+                    assert are_isomorphic(g, r) == (form == canonical_form(r)), (n, mask)
+                    pairs += 1
+        assert pairs == 35557
+
     def test_large_orders_use_the_search_path(self):
         a = broom_tree(5)
         perm = tuple(reversed(range(a.n)))

@@ -204,6 +204,13 @@ class TestDistinguishingNumber:
         # both classes the same set, so one more is needed
         assert distinguishing_number(complete_multipartite_graph(s, s)) == s + 1
 
+    @pytest.mark.parametrize("t", range(1, 17))
+    def test_classes_no_symmetry_moves_are_not_searched(self, t):
+        # up to 52 vertices; only P4's reflection moves classes, so the two
+        # parts of K(2t,t) never get more than one color set each
+        g = construct_family(parse_expression(f"U(K({2 * t},{t}),P4)"))
+        assert distinguishing_number(g) == 2 * t
+
     @given(graphs(min_n=1, max_n=6))
     @settings(max_examples=40, deadline=None)
     def test_range_and_all_distinct_coloring(self, g):

@@ -57,10 +57,8 @@ class TestTwinGraph:
 
     def test_apex_over_clique_plus_isolated(self):
         # one vertex joined to (K_t plus one isolated vertex), t = 3
-        spec = FamilySpec.join_of(
-            FamilySpec.complete(1),
-            FamilySpec.union_of(FamilySpec.complete(3), FamilySpec.complete(1)),
-        )
+        k1, k3 = FamilySpec("complete", (1,)), FamilySpec("complete", (3,))
+        spec = FamilySpec("join", parts=(k1, FamilySpec("union", parts=(k3, k1))))
         structure = twin_graph(construct_family(spec))
         assert structure.quotient.n == 3
         assert sorted(structure.types) == ["1", "1", "K"]
