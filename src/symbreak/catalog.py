@@ -17,8 +17,9 @@ every match they produce is flagged ``erratum``.
 Instantiation enumerates every parameter value of every template that lands
 on a requested order, keeps one representative per isomorphism class, and
 records all (entry, parameter) aliases that produced it.  Membership
-questions are answered by isomorphism against these concrete instances, so
-there is a single matching mechanism and no per-family recognition code.
+questions are answered by isomorphism against these concrete instances
+(:func:`family_matches`), so there is a single matching mechanism and no
+per-family recognition code.
 """
 
 from __future__ import annotations
@@ -39,12 +40,7 @@ from .graphs import (
     diameter,
     is_connected,
 )
-from .isomorphism import (
-    CANONICAL_MAX_VERTICES,
-    CanonicalForm,
-    canonical_form,
-    write_graph6,
-)
+from .isomorphism import CANONICAL_MAX_VERTICES, are_isomorphic, write_graph6
 from .resolving import metric_dimension
 from .symmetry import distinguishing_number
 from .twins import core_graph, twin_graph
@@ -102,7 +98,6 @@ class FamilyInstance:
     """One concrete catalog graph with every alias that produced it."""
 
     graph: Graph
-    canonical: CanonicalForm
     matches: tuple[FamilyMatch, ...]
 
 
@@ -262,8 +257,10 @@ def instantiate_families(theorem: TheoremId, n: int) -> tuple[FamilyInstance, ..
 
     Every (entry, parameter) assignment reaching order ``n`` is generated,
     from the paper's rows and then from the rows of :data:`ERRATA`;
-    isomorphic outcomes are merged, keeping all aliases.  Results are
-    sorted by canonical form.
+    isomorphic outcomes are merged, keeping all aliases.  Instances come in
+    the order of their first alias.  Every row grows by one vertex per unit
+    of its parameter, so a row stops at its first member of order ``n`` or
+    more and never builds a graph above that order.
 
     Raises:
         TheoremNotApplicableError: below the catalog's minimum order.
@@ -273,36 +270,34 @@ def instantiate_families(theorem: TheoremId, n: int) -> tuple[FamilyInstance, ..
         raise TheoremNotApplicableError(
             f"{theorem.value} applies to orders >= {spec.min_order}, got {n}"
         )
-    by_canon: dict[tuple[int, int], tuple[Graph, CanonicalForm, list[FamilyMatch]]] = {}
+    found: list[tuple[Graph, list[FamilyMatch]]] = []
     rows = [(entry, False) for entry in spec.entries]
     rows += [(entry, True) for entry in ERRATA.get(theorem, ())]
     for entry, erratum in rows:
-        if entry.t_min is None:
-            assignments: list[int | None] = [None]
-        else:
-            assignments = list(range(entry.t_min, n + 1))
+        assignments = [None] if entry.t_min is None else range(entry.t_min, n + 1)
         for t in assignments:
             family = entry.make(0 if t is None else t)
             graph = construct_family(family)
-            if graph.n != n:
-                continue
-            canon = canonical_form(graph)
-            match = FamilyMatch(theorem, entry.index, t, format_spec(family), erratum)
-            key = (canon.n, canon.value)
-            if key in by_canon:
-                by_canon[key][2].append(match)
-            else:
-                by_canon[key] = (graph, canon, [match])
-    instances = [
-        FamilyInstance(graph, canon, tuple(matches))
-        for graph, canon, matches in by_canon.values()
-    ]
-    instances.sort(key=lambda inst: inst.canonical.value)
-    return tuple(instances)
+            if graph.n == n:
+                match = FamilyMatch(theorem, entry.index, t, format_spec(family), erratum)
+                for known, matches in found:
+                    if are_isomorphic(known, graph):
+                        matches.append(match)
+                        break
+                else:
+                    found.append((graph, [match]))
+            if graph.n >= n:
+                break
+    return tuple(FamilyInstance(graph, tuple(matches)) for graph, matches in found)
 
 
-def applicable_theorems(n: int) -> list[TheoremId]:
-    return [tid for tid in TheoremId if n >= _THEOREMS[tid].min_order]
+def family_matches(theorem: TheoremId, g: Graph) -> tuple[FamilyMatch, ...]:
+    """Every alias of the catalog graph isomorphic to ``g``, or none; raises
+    :class:`TheoremNotApplicableError` below the catalog's minimum order."""
+    for instance in instantiate_families(theorem, g.n):
+        if are_isomorphic(instance.graph, g):
+            return instance.matches
+    return ()
 
 
 def in_family_f(g: Graph) -> bool:
@@ -363,11 +358,9 @@ def classify_graph(g: Graph) -> ClassificationReport:
     core = core_graph(g)
     matches: list[FamilyMatch] = []
     if g.n <= CANONICAL_MAX_VERTICES:
-        canon = canonical_form(g)
-        for tid in applicable_theorems(g.n):
-            for instance in instantiate_families(tid, g.n):
-                if instance.canonical == canon:
-                    matches.extend(instance.matches)
+        for tid in TheoremId:
+            if g.n >= tid.min_order:
+                matches.extend(family_matches(tid, g))
     return ClassificationReport(
         graph6=write_graph6(g),
         n=g.n,
@@ -379,6 +372,11 @@ def classify_graph(g: Graph) -> ClassificationReport:
         in_family_f=in_family_f(g),
         matches=tuple(matches),
     )
+
+
+#: The largest ``dim_target`` whose construction graphs fit in 64 vertices:
+#: ``construction_graph(1, 9)`` has 56, ``construction_graph(1, 10)`` 67.
+CONSTRUCTION_MAX_DIM = 9
 
 
 def construction_graph(d_target: int, dim_target: int) -> Graph:

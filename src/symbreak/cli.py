@@ -14,8 +14,8 @@ INPUT is either a graph6 line or a family expression (see the grammar in
 everything passed, 1 when a verification failed, 2 on unparsable input, a
 --jobs below 1, a --max below 2, an order below 1 or an order range that
 selects nothing, 3 when a graph is beyond the supported bounds (an order
-above the enumeration cap, or a twin graph with more than 16 twin classes
-and a symmetry that moves them).
+above the enumeration cap, a --max above 9, or a twin graph with more than
+16 twin classes and a symmetry that moves them).
 """
 
 from __future__ import annotations
@@ -27,6 +27,7 @@ import json
 import sys
 
 from .catalog import (
+    CONSTRUCTION_MAX_DIM,
     TheoremId,
     TheoremNotApplicableError,
     classify_graph,
@@ -161,6 +162,11 @@ def cmd_verify(args: argparse.Namespace) -> int:
     if args.target == "construction":
         if args.max < 2:
             raise UsageError(f"--max must be at least 2, got {args.max}")
+        if args.max > CONSTRUCTION_MAX_DIM:
+            raise OrderLimitError(
+                f"--max {args.max} is above {CONSTRUCTION_MAX_DIM}, the largest whose "
+                "construction graphs fit in 64 vertices"
+            )
         results.append(check_construction(args.max))
     else:
         if args.n is None:

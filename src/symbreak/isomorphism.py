@@ -37,6 +37,7 @@ from .graphs import (
     twin_partition,
 )
 from .symmetry import class_symmetries, isometries
+from .twins import twin_graph
 
 CANONICAL_MAX_VERTICES = 10
 ENUMERATION_MAX_ORDER = 6
@@ -66,11 +67,6 @@ class CanonicalForm:
 
     n: int
     value: int
-
-    @property
-    def bitstring(self) -> str:
-        width = self.n * (self.n - 1) // 2
-        return format(self.value, f"0{width}b") if width else ""
 
 
 def canonical_form(g: Graph) -> CanonicalForm:
@@ -155,8 +151,15 @@ def graph_from_pair_mask(n: int, mask: int) -> Graph:
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:
-    """True when some bijection maps the edges of ``g`` exactly onto ``h``."""
-    return isometries(g, h, lambda _image: True)
+    """True when some bijection maps the edges of ``g`` exactly onto ``h``.
+
+    Twin classes are modules, so ``g`` and ``h`` are isomorphic exactly when
+    some isomorphism of their twin graphs maps every class onto one of the
+    same size and type.  The search runs on the twin graphs alone and never
+    permutes the vertices inside a class.
+    """
+    tg, th = twin_graph(g), twin_graph(h)
+    return isometries(tg.quotient, th.quotient, lambda _image: True, tg.labels, th.labels)
 
 
 @lru_cache(maxsize=None)

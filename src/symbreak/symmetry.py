@@ -10,10 +10,12 @@ distinguishes G exactly when the vertices of each class get distinct
 colors and no nontrivial labelled automorphism of G* maps the color set of
 every class onto the color set of its image (Albertson & Collins,
 "Symmetry breaking in graphs", EJC 3 (1996) R18), and the vertex orbits of
-Aut(G) are unions of twin classes.  Only that labelled group is listed,
-never Aut(G) itself, and it is sorted by support size so that a
-non-distinguishing coloring is usually refuted by one of its first few
-elements.
+Aut(G) are unions of twin classes.  For the same reason two graphs are
+isomorphic exactly when some isomorphism of their twin graphs keeps every
+label, which is how :func:`symbreak.isomorphism.are_isomorphic` decides
+it.  Only that labelled group is listed, never Aut(G) itself, and it is
+sorted by support size so that a non-distinguishing coloring is usually
+refuted by one of its first few elements.
 """
 
 from __future__ import annotations
@@ -67,6 +69,7 @@ def isometries(
     h: Graph,
     visit: Callable[[list[int]], bool | None],
     colors: Sequence[Hashable] | None = None,
+    h_colors: Sequence[Hashable] | None = None,
 ) -> bool:
     """Pass every distance-preserving bijection from ``g`` onto ``h`` to ``visit``.
 
@@ -74,20 +77,20 @@ def isometries(
     backtracks over vertex images, filtering candidates by color, degree
     and distance profile and forcing every assigned pair to preserve
     distance.  With ``colors``, vertex ``v`` of ``g`` may only map to a
-    vertex ``w`` of ``h`` with ``colors[w] == colors[v]``.  ``visit`` gets
-    the one-line image list, which the search reuses (copy it to keep it),
-    and stops the search by returning True.  Returns True exactly when
-    ``visit`` stopped the search.
+    vertex ``w`` of ``h`` with ``h_colors[w] == colors[v]``; ``h_colors``
+    defaults to ``colors``.  ``visit`` gets the one-line image list, which
+    the search reuses (copy it to keep it), and stops the search by
+    returning True.  Returns True exactly when ``visit`` stopped the search.
     """
     n = g.n
     if h.n != n:
         return False
-    if colors is None:
-        colors = [0] * n
+    colors = [0] * n if colors is None else colors
+    h_colors = colors if h_colors is None else h_colors
     dist_g = shortest_path_matrix(g)
     dist_h = shortest_path_matrix(h)
     profile_g = [(colors[v], g.degree(v), tuple(sorted(dist_g[v]))) for v in range(n)]
-    profile_h = [(colors[w], h.degree(w), tuple(sorted(dist_h[w]))) for w in range(n)]
+    profile_h = [(h_colors[w], h.degree(w), tuple(sorted(dist_h[w]))) for w in range(n)]
     if sorted(profile_g) != sorted(profile_h):
         return False
     candidates = [[w for w in range(n) if profile_h[w] == profile_g[v]] for v in range(n)]
@@ -143,7 +146,6 @@ def class_symmetries(g: Graph) -> ClassSymmetries:
     """
     structure = twin_graph(g)
     m = len(structure.classes)
-    labels = [(len(cls), kind) for cls, kind in zip(structure.classes, structure.types)]
     moved: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
 
     def keep(image: list[int]) -> None:
@@ -161,7 +163,7 @@ def class_symmetries(g: Graph) -> ClassSymmetries:
                 f"the labelled group of the twin graph exceeds {AUT_MAX_GROUP_SIZE} elements"
             )
 
-    isometries(structure.quotient, structure.quotient, keep, labels)
+    isometries(structure.quotient, structure.quotient, keep, structure.labels)
     moved.sort(key=lambda pair: (len(pair[0]), pair[1]))
     return ClassSymmetries(structure.classes, tuple(moved))
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .graphs import Graph, build_graph, complement, is_connected, twin_partition
 
@@ -38,7 +39,13 @@ class TwinStructure:
     def max_class_size(self) -> int:
         return max(len(cls) for cls in self.classes)
 
+    @property
+    def labels(self) -> tuple[tuple[int, str], ...]:
+        """Each class's (size, type), which every symmetry of G must keep."""
+        return tuple((len(cls), kind) for cls, kind in zip(self.classes, self.types))
 
+
+@lru_cache(maxsize=65536)
 def twin_graph(g: Graph) -> TwinStructure:
     """Contract every twin class to one vertex and record the class types."""
     classes = [tuple(cls) for cls in twin_partition(g)]

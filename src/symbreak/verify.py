@@ -12,23 +12,16 @@ import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
-from functools import partial
 
 from .catalog import (
     TheoremId,
     construction_graph,
+    family_matches,
     in_family_f,
     instantiate_families,
 )
 from .graphs import Graph, is_connected
-from .isomorphism import (
-    Graph6Error,
-    canonical_form,
-    enumerate_graphs,
-    pair_mask,
-    parse_graph6,
-    write_graph6,
-)
+from .isomorphism import Graph6Error, enumerate_graphs, parse_graph6, write_graph6
 from .resolving import metric_dimension
 from .symmetry import coloring_from_resolving_set, distinguishing_number, is_distinguishing
 
@@ -156,12 +149,6 @@ def check_construction(max_dim: int) -> VerifyReport:
     return report
 
 
-def _d_record(g: Graph, enumerated: bool) -> tuple[str, int, int, bool]:
-    # An enumerated representative is already its class's canonical labeling.
-    key = pair_mask(g) if enumerated else canonical_form(g).value
-    return (write_graph6(g), key, distinguishing_number(g), in_family_f(g))
-
-
 def check_characterization(
     theorem: TheoremId,
     n: int,
@@ -180,23 +167,20 @@ def check_characterization(
     """
     start = time.perf_counter()
     target = n - theorem.offset
-    instances = instantiate_families(theorem, n)
-    if not errata:
-        instances = tuple(
-            inst for inst in instances if not all(m.erratum for m in inst.matches)
-        )
+
+    def listed(matches) -> bool:
+        return any(errata or not m.erratum for m in matches)
+
+    instances = [inst for inst in instantiate_families(theorem, n) if listed(inst.matches)]
     restricted = theorem is TheoremId.DN3
     report = VerifyReport(theorem.value, n, scanned=0, matched=0)
 
-    catalog_keys = set()
     for instance in instances:
-        covered = in_family_f(instance.graph) if restricted else True
-        if not covered:
+        if restricted and not in_family_f(instance.graph):
             report.excluded.append(
                 f"catalog {write_graph6(instance.graph)} outside coverage, not asserted"
             )
             continue
-        catalog_keys.add(instance.canonical.value)
         dval = distinguishing_number(instance.graph)
         if dval != target:
             report.mismatches.append(
@@ -209,21 +193,17 @@ def check_characterization(
 
     pool = _population(n, graphs, connected_only=False)
     report.scanned = len(pool)
-    record = partial(_d_record, enumerated=graphs is None)
-    for graph6, canon_value, dval, covered in _map_jobs(record, pool, jobs):
-        if restricted and not covered:
-            if dval == target:
-                report.excluded.append(
-                    f"{graph6} has D = {target} but lies outside coverage"
-                )
+    for g, dval in zip(pool, _map_jobs(distinguishing_number, pool, jobs)):
+        if dval != target:
             continue
-        if dval == target:
-            if canon_value in catalog_keys:
-                report.matched += 1
-            else:
-                report.mismatches.append(
-                    Mismatch(graph6, f"D = {target} only for catalog graphs", f"D = {dval}")
-                )
+        if restricted and not in_family_f(g):
+            report.excluded.append(f"{write_graph6(g)} has D = {target} but lies outside coverage")
+        elif listed(family_matches(theorem, g)):
+            report.matched += 1
+        else:
+            report.mismatches.append(
+                Mismatch(write_graph6(g), f"D = {target} only for catalog graphs", f"D = {dval}")
+            )
     report.elapsed = time.perf_counter() - start
     return report
 

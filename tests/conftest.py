@@ -50,11 +50,22 @@ def errata_withheld(monkeypatch):
     catalog.instantiate_families.cache_clear()
 
 
-@pytest.fixture(scope="session")
-def order7_classes() -> list[Graph]:
-    """One graph per isomorphism class of order 7, from ``order7_classes.g6``."""
+def _data_graphs(name: str) -> list[Graph]:
     import os
 
     from symbreak import load_graph6_file
 
-    return load_graph6_file(os.path.join(os.path.dirname(__file__), "data", "order7_classes.g6"))
+    return load_graph6_file(os.path.join(os.path.dirname(__file__), "data", name))
+
+
+@pytest.fixture(scope="session")
+def order7_classes() -> list[Graph]:
+    """One graph per isomorphism class of order 7, from ``order7_classes.g6``."""
+    return _data_graphs("order7_classes.g6")
+
+
+@pytest.fixture(scope="session")
+def order8_classes() -> list[Graph]:
+    """One graph per isomorphism class of order 8, from ``order8_classes.g6``,
+    written from ``isomorphism._canonical_masks(8)``."""
+    return _data_graphs("order8_classes.g6")

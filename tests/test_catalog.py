@@ -26,9 +26,10 @@ from symbreak import (
     path_graph,
     write_graph6,
 )
-from symbreak.catalog import ERRATA
+from symbreak.catalog import ERRATA, family_matches
 from symbreak.graphs import GraphError
 
+from conftest import relabel
 from oracles import brute_distinguishing_number
 
 
@@ -50,7 +51,31 @@ class TestInstantiation:
                 for match in inst.matches:
                     spec = parse_expression(match.expression)
                     assert format_spec(spec) == match.expression
-                    assert canonical_form(construct_family(spec)) == inst.canonical, match
+                    built = construct_family(spec)
+                    assert canonical_form(built) == canonical_form(inst.graph), match
+
+    @pytest.mark.parametrize("theorem", list(TheoremId), ids=lambda t: t.value)
+    def test_aliases_are_grouped_as_canonical_forms_group_them(self, theorem):
+        for n in range(theorem.min_order, 10):
+            by_form = {}
+            for inst in instantiate_families(theorem, n):
+                for match in inst.matches:
+                    form = canonical_form(construct_family(parse_expression(match.expression)))
+                    by_form.setdefault(form, set()).add(match)
+            grouped = {frozenset(inst.matches) for inst in instantiate_families(theorem, n)}
+            assert grouped == {frozenset(matches) for matches in by_form.values()}, n
+
+    @pytest.mark.parametrize("theorem", list(TheoremId), ids=lambda t: t.value)
+    def test_rows_stop_at_the_requested_order(self, theorem):
+        # a member above 64 vertices would raise GraphError while being built
+        instances = instantiate_families(theorem, 64)
+        assert instances and all(inst.graph.n == 64 for inst in instances)
+
+    def test_family_matches_finds_a_relabelled_catalog_graph(self):
+        g = construct_family(parse_expression("J(K2,E3)"))
+        relabelled = relabel(g, (4, 2, 0, 3, 1))
+        assert [m.entry for m in family_matches(TheoremId.DN2, relabelled)] == [9]
+        assert family_matches(TheoremId.DN2, path_graph(5)) == ()
 
     def test_d_n_minus_1_at_order_4(self):
         pool = catalog_graphs(TheoremId.DN1, 4)
@@ -146,6 +171,10 @@ def erratum_instances(theorem, n):
     ]
 
 
+#: The order-8 graphs with D = 5 inside coverage that no paper row of Dn3 holds.
+ORDER_8_DN3_MISSES = ("G??Bzw", "G??Bz{", "GB\\zz{", "G???N{", "G@Kx~{", "GJ\\{F{")
+
+
 class TestErrata:
     def test_errata_are_numbered_after_the_paper_rows(self):
         for theorem, rows in ERRATA.items():
@@ -221,7 +250,29 @@ class TestErrata:
         missed = {canonical_form(parse_graph6(m.graph6)).value for m in report.mismatches}
         errata = erratum_instances(TheoremId.DN3, 7)
         assert len(errata) == 8
-        assert missed == {inst.canonical.value for inst in errata}
+        assert missed == {canonical_form(inst.graph).value for inst in errata}
+
+    def test_order_8_file_holds_every_class(self, order8_classes):
+        # 12,346 pairwise non-isomorphic graphs are all the classes (OEIS A000088)
+        assert len(order8_classes) == 12346 and all(g.n == 8 for g in order8_classes)
+        assert len({canonical_form(g).value for g in order8_classes}) == 12346
+
+    def test_paper_rows_miss_exactly_six_order_8_errata(self, order8_classes):
+        report = check_characterization(TheoremId.DN3, 8, graphs=order8_classes, errata=False)
+        assert [m.graph6 for m in report.mismatches] == list(ORDER_8_DN3_MISSES)
+        for line in ORDER_8_DN3_MISSES:
+            matches = family_matches(TheoremId.DN3, parse_graph6(line))
+            assert matches and all(m.erratum for m in matches), line
+
+    def test_amended_dn3_passes_over_every_order_8_class(self, order8_classes):
+        report = check_characterization(TheoremId.DN3, 8, graphs=order8_classes)
+        assert report.scanned == 12346
+        assert report.passed, [m.to_dict() for m in report.mismatches]
+        assert (report.matched, report.excluded) == (30, [])
+
+    @pytest.mark.parametrize("line", ORDER_8_DN3_MISSES)
+    def test_oracle_agrees_on_every_order_8_miss(self, line):
+        assert brute_distinguishing_number(parse_graph6(line)) == 5
 
     @pytest.mark.parametrize("t", [2, 3, 4])
     def test_cone_over_two_cliques_has_d_t_plus_1(self, t):

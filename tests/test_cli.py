@@ -15,10 +15,14 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import symbreak
-from symbreak import broom_tree, write_graph6
+from symbreak import broom_tree, construct_family, parse_expression, write_graph6
 from symbreak.cli import main
 
 from conftest import graphs
+
+
+def build(text):
+    return construct_family(parse_expression(text))
 
 
 def run_cli(capsys, *argv):
@@ -181,6 +185,30 @@ class TestVerify:
         code, out, err = run_cli(capsys, "verify", "construction", "--max", largest)
         assert code == 2 and out == ""
         assert f"--max must be at least 2, got {largest}" in err
+
+    def test_construction_max_above_nine_exits_3_before_any_pair(self, capsys, monkeypatch):
+        # construction_graph(1, 10) would need 67 vertices, above the 64-vertex cap
+        def no_pair(*args, **kwargs):
+            raise AssertionError("a construction pair was built")
+
+        monkeypatch.setattr("symbreak.cli.check_construction", no_pair)
+        monkeypatch.setattr("symbreak.verify.construction_graph", no_pair)
+        code, out, err = run_cli(capsys, "verify", "construction", "--max", "10")
+        assert code == 3 and out == ""
+        assert "--max 10" in err and "above 9" in err
+
+    def test_catalogs_are_checked_above_order_10_from_a_file(self, capsys, tmp_path):
+        path = tmp_path / "large.g6"
+        lines = [write_graph6(build(f"U(K{n - 1},K1)")) for n in (11, 40, 64)]
+        path.write_text("\n".join(lines) + "\n")
+        # each file graph has D = n - 1, so only Dn1 matches it
+        for target in ("Dn", "Dn1", "Dn2", "Dn3"):
+            argv = ["verify", target, "--n", "11..64", "--graph6-file", str(path)]
+            code, out, err = run_cli(capsys, *argv)
+            assert code == 0 and err == "", (target, err)
+            reports = json.loads(out)
+            assert [report["order"] for report in reports] == [11, 40, 64]
+            assert [report["matched"] for report in reports] == [int(target == "Dn1")] * 3
 
     @pytest.mark.parametrize("target", ["bound", "Dn"])
     def test_negative_orders_exit_2(self, capsys, target):

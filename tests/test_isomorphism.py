@@ -4,6 +4,7 @@ import os
 import random
 import subprocess
 import sys
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -12,6 +13,7 @@ from symbreak import (
     Graph6Error,
     OrderLimitError,
     are_isomorphic,
+    blow_up,
     broom_tree,
     build_graph,
     canonical_form,
@@ -43,6 +45,25 @@ from oracles import brute_automorphisms, brute_canonical_value
 
 def build(text):
     return construct_family(parse_expression(text))
+
+
+def shrikhande_and_rook():
+    """The Shrikhande graph and the 4x4 rook's graph: Cayley graphs of
+    Z4 x Z4, both strongly regular with parameters (16, 6, 2, 2)."""
+    cells = [(a, b) for a in range(4) for b in range(4)]
+
+    def cayley(connects):
+        edges = [
+            (i, j)
+            for i, (a, b) in enumerate(cells)
+            for j, (c, d) in enumerate(cells)
+            if i < j and connects((c - a) % 4, (d - b) % 4)
+        ]
+        return build_graph(16, edges)
+
+    shrikhande = cayley(lambda x, y: (x, y) in {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)})
+    rook = cayley(lambda x, y: (x == 0) != (y == 0))
+    return shrikhande, rook
 
 
 #: classical counts of graphs up to isomorphism, all / connected
@@ -166,28 +187,35 @@ class TestAreIsomorphic:
         assert not are_isomorphic(g, h) and not are_isomorphic(h, g)
 
     def test_equal_distance_profiles_are_told_apart(self):
-        # The Shrikhande graph and the 4x4 rook's graph are Cayley graphs of
-        # Z4 x Z4, both strongly regular with parameters (16, 6, 2, 2), so
-        # every vertex of either has the same degree and distance profile;
-        # only the backtrack itself can tell them apart.
-        cells = [(a, b) for a in range(4) for b in range(4)]
-
-        def cayley(connects):
-            edges = [
-                (i, j)
-                for i, (a, b) in enumerate(cells)
-                for j, (c, d) in enumerate(cells)
-                if i < j and connects((c - a) % 4, (d - b) % 4)
-            ]
-            return build_graph(16, edges)
-
-        shrikhande = cayley(lambda x, y: (x, y) in {(0, 1), (0, 3), (1, 0), (3, 0), (1, 1), (3, 3)})
-        rook = cayley(lambda x, y: (x == 0) != (y == 0))
+        # every vertex of either graph has the same degree and distance
+        # profile; only the backtrack itself can tell them apart
+        shrikhande, rook = shrikhande_and_rook()
         assert sorted(map(sorted, shortest_path_matrix(shrikhande))) == sorted(
             map(sorted, shortest_path_matrix(rook))
         )
         assert not are_isomorphic(shrikhande, rook)
         assert are_isomorphic(rook, relabel(rook, tuple(reversed(range(16)))))
+
+    def test_blown_up_twin_classes_cost_nothing(self):
+        # each vertex replaced by an independent set of 3 twins: 48 vertices,
+        # whose twin graphs are the 16-vertex originals
+        shrikhande, rook = (blow_up(g, [(3, "empty")] * 16) for g in shrikhande_and_rook())
+        perm = list(range(48))
+        random.Random(48).shuffle(perm)
+        for g, h, expected in (
+            (shrikhande, rook, False),
+            (shrikhande, relabel(shrikhande, tuple(perm)), True),
+            (rook, relabel(rook, tuple(perm)), True),
+        ):
+            start = time.process_time()
+            assert are_isomorphic(g, h) is expected
+            assert time.process_time() - start < 1.0
+
+    def test_class_types_are_told_apart(self):
+        # both twin graphs are P4 with class sizes 2, 1, 1, 1; the pair of
+        # twins is adjacent in one graph and not in the other
+        assert not are_isomorphic(build("B(P4,K2,K1,K1,K1)"), build("B(P4,E2,K1,K1,K1)"))
+        assert not are_isomorphic(build("U(K3,K1)"), build("2*K2"))
 
     @given(graphs_with_permutation(max_n=6))
     @settings(max_examples=60, deadline=None)
