@@ -259,8 +259,8 @@ def instantiate_families(theorem: TheoremId, n: int) -> tuple[FamilyInstance, ..
     from the paper's rows and then from the rows of :data:`ERRATA`;
     isomorphic outcomes are merged, keeping all aliases.  Instances come in
     the order of their first alias.  Every row grows by one vertex per unit
-    of its parameter, so a row stops at its first member of order ``n`` or
-    more and never builds a graph above that order.
+    of its parameter, so the parameter of a row's order-``n`` member is read
+    off the order of its first member, and no other member is built.
 
     Raises:
         TheoremNotApplicableError: below the catalog's minimum order.
@@ -274,20 +274,22 @@ def instantiate_families(theorem: TheoremId, n: int) -> tuple[FamilyInstance, ..
     rows = [(entry, False) for entry in spec.entries]
     rows += [(entry, True) for entry in ERRATA.get(theorem, ())]
     for entry, erratum in rows:
-        assignments = [None] if entry.t_min is None else range(entry.t_min, n + 1)
-        for t in assignments:
-            family = entry.make(0 if t is None else t)
-            graph = construct_family(family)
-            if graph.n == n:
-                match = FamilyMatch(theorem, entry.index, t, format_spec(family), erratum)
-                for known, matches in found:
-                    if are_isomorphic(known, graph):
-                        matches.append(match)
-                        break
-                else:
-                    found.append((graph, [match]))
-            if graph.n >= n:
+        t = None
+        if entry.t_min is not None:
+            t = entry.t_min + n - construct_family(entry.make(entry.t_min)).n
+            if t < entry.t_min:
+                continue
+        family = entry.make(0 if t is None else t)
+        graph = construct_family(family)
+        if graph.n != n:
+            continue
+        match = FamilyMatch(theorem, entry.index, t, format_spec(family), erratum)
+        for known, matches in found:
+            if are_isomorphic(known, graph):
+                matches.append(match)
                 break
+        else:
+            found.append((graph, [match]))
     return tuple(FamilyInstance(graph, tuple(matches)) for graph, matches in found)
 
 

@@ -4,22 +4,24 @@ The canonical form of a graph is the lexicographically smallest upper
 triangle of its adjacency matrix, read row by row, over all relabelings.
 Two graphs are isomorphic exactly when their canonical forms coincide.
 
-Canonicalisation of a single graph runs a depth-first search over vertex
-orderings.  Twin vertices are interchangeable, so only one member of each
-twin class branches at any level.  A partial ordering is discarded as soon
-as its smallest possible completion, in which every placed vertex's edges
-to the unplaced ones fill the last positions of its row, cannot beat the
-best string found so far.  Correctness, not speed, is the contract; the
+Canonicalisation of a single graph places vertices one position at a time
+and keeps the unplaced ones as an ordered list of cells, each homogeneous
+towards every placed vertex (the refinement of McKay and Piperno, cut down
+to this one form).  In the minimal string the unplaced positions are sorted
+by their adjacency to the placed prefix, so the next position holds a
+vertex of the first cell, and that vertex's row, its non-neighbours then
+its neighbours within each cell, is fixed by its neighbour count per cell.
+Only first-cell vertices with the least row branch, one per twin class, and
+a branch stops as soon as its exact prefix exceeds the best string's.  The
 search is exact for every order up to :data:`CANONICAL_MAX_VERTICES`.
 
 Exhaustive enumeration works at orders up to :data:`ENUMERATION_MAX_ORDER`
 by one-vertex augmentation: every representative of order ``n - 1`` gets a
 new vertex joined to one neighbourhood per orbit of its automorphism group,
 read from the labelled group of its twin graph, and the children are
-deduplicated by canonical form.  The generator also reaches order 7 (1,044
-classes) in about 1 s, some 15 times the cost of order 6, and most of that
-is still canonical forms (about 63 search nodes per child).  The cap stays
-at 6; larger orders enter through graph6 files.
+deduplicated by canonical form.  Order 7 (1,044 classes) takes about
+0.2 s and order 8 (12,346 classes) about 3 s, most of it canonical forms.
+The cap is 7; larger orders enter through graph6 files.
 """
 
 from __future__ import annotations
@@ -40,7 +42,7 @@ from .symmetry import class_symmetries, isometries
 from .twins import twin_graph
 
 CANONICAL_MAX_VERTICES = 10
-ENUMERATION_MAX_ORDER = 6
+ENUMERATION_MAX_ORDER = 7
 
 #: graph6 bytes are printable ASCII offset by 63.
 _G6_OFFSET = 63
@@ -82,56 +84,55 @@ def _min_row_major_value(g: Graph) -> int:
     n = g.n
     if n <= 1:
         return 0
-    pairs = _row_major_pairs(n)
-    # bit[i][j] is the bit of pair (i, j) in the packed value, and tail[i][r]
-    # sets the last r bits of row i.
-    bit = [[0] * n for _ in range(n)]
-    for p, (i, j) in enumerate(pairs):
-        bit[i][j] = 1 << (len(pairs) - 1 - p)
-    tail = [[bit[i][n - 1] * ((1 << r) - 1) for r in range(n)] for i in range(n)]
     adj = g.adj
-
     class_id = [0] * n
     for ci, cls in enumerate(twin_partition(g)):
         for v in cls:
             class_id[v] = ci
 
-    best = 1 << len(pairs)  # above every value of len(pairs) bits
-    assigned: list[int] = []
+    best = 1 << n * (n - 1) // 2  # above every value of that many bits
 
-    def search(known: int, unused: int) -> None:
+    def search(cells: list[int], prefix: int, m: int) -> None:
+        # ``cells`` orders the m unplaced vertices; each cell is homogeneous
+        # towards every placed vertex, and ``prefix`` holds the placed rows.
         nonlocal best
-        # Placed row i still owes one bit per neighbour left in ``unused``;
-        # its smallest completion puts them in the row's last positions.
-        # Every completion is at least this bound row by row, so the branch
-        # can beat ``best`` only if the bound does.
-        bound = known
-        for i, u in enumerate(assigned):
-            bound |= tail[i][(adj[u] & unused).bit_count()]
-        if bound >= best:
+        sizes = [cell.bit_count() for cell in cells]
+        sizes[0] -= 1  # the placed vertex leaves the first cell
+        least, chosen, classes = None, [], set()
+        bits = cells[0]
+        while bits:
+            low = bits & -bits
+            bits ^= low
+            v = low.bit_length() - 1
+            # v's row: within each cell, its non-neighbours then its neighbours
+            row = 0
+            for cell, size in zip(cells, sizes):
+                row = row << size | (1 << (adj[v] & cell).bit_count()) - 1
+            if least is None or row < least:
+                least, chosen, classes = row, [v], {class_id[v]}
+            elif row == least and class_id[v] not in classes:
+                chosen.append(v)
+                classes.add(class_id[v])
+        m -= 1
+        prefix = prefix << m | least
+        rest = m * (m - 1) // 2
+        if prefix > best >> rest:
             return
-        if not unused:
-            best = known
+        if m <= 1:
+            best = min(best, prefix)
             return
-        k = len(assigned)
-        tried_classes = set()
-        candidates = []
-        for v in range(n):
-            if not unused >> v & 1 or class_id[v] in tried_classes:
-                continue
-            tried_classes.add(class_id[v])
-            column = 0
-            for i, u in enumerate(assigned):
-                if adj[v] >> u & 1:
-                    column |= bit[i][k]
-            candidates.append((column, adj[v].bit_count(), v))
-        candidates.sort()
-        for column, _, v in candidates:
-            assigned.append(v)
-            search(known | column, unused & ~(1 << v))
-            assigned.pop()
+        for v in chosen:
+            refined = []
+            for cell in cells:
+                cell &= ~(1 << v)
+                outside, inside = cell & ~adj[v], cell & adj[v]
+                if outside:
+                    refined.append(outside)
+                if inside:
+                    refined.append(inside)
+            search(refined, prefix, m)
 
-    search(0, (1 << n) - 1)
+    search([(1 << n) - 1], 0, n)
     return best
 
 

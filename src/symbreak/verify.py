@@ -1,7 +1,7 @@
 """Exhaustive verification of the bound, the constructions, and the catalogs.
 
 Each check scans a population of graphs (internal enumeration up to order
-six, or graph6 input beyond) and reports mismatches as graph6 strings with
+seven, or graph6 input beyond) and reports mismatches as graph6 strings with
 the expected and observed values, so a report is reproducible from its own
 content.  Scans distribute per-graph work over a process pool when asked.
 """

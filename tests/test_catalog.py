@@ -26,7 +26,7 @@ from symbreak import (
     path_graph,
     write_graph6,
 )
-from symbreak.catalog import ERRATA, family_matches
+from symbreak.catalog import _THEOREMS, ERRATA, FamilyMatch, family_matches
 from symbreak.graphs import GraphError
 
 from conftest import relabel
@@ -39,6 +39,12 @@ def catalog_graphs(theorem, n):
 
 def contains_isomorph(pool, g):
     return any(are_isomorphic(g, h) for h in pool)
+
+
+def catalog_rows(theorem):
+    """Every row of a catalog as (entry, erratum): the paper's, then ERRATA's."""
+    rows = [(entry, False) for entry in _THEOREMS[theorem].entries]
+    return rows + [(entry, True) for entry in ERRATA.get(theorem, ())]
 
 
 class TestInstantiation:
@@ -70,6 +76,39 @@ class TestInstantiation:
         # a member above 64 vertices would raise GraphError while being built
         instances = instantiate_families(theorem, 64)
         assert instances and all(inst.graph.n == 64 for inst in instances)
+
+    @pytest.mark.parametrize("theorem", list(TheoremId), ids=lambda t: t.value)
+    def test_every_row_grows_by_one_vertex_per_unit_of_t(self, theorem):
+        # instantiate_families reads a row's order-n member off this growth
+        for entry, _ in catalog_rows(theorem):
+            if entry.t_min is None:
+                continue
+            orders = [
+                construct_family(entry.make(t)).n for t in range(entry.t_min, entry.t_min + 31)
+            ]
+            assert orders == list(range(orders[0], orders[0] + 31)), entry.index
+
+    @pytest.mark.parametrize("theorem", list(TheoremId), ids=lambda t: t.value)
+    def test_instances_equal_those_of_building_every_member(self, theorem):
+        for n in range(max(4, theorem.min_order), 13):
+            found = []
+            for entry, erratum in catalog_rows(theorem):
+                assignments = [None] if entry.t_min is None else range(entry.t_min, n + 1)
+                for t in assignments:
+                    family = entry.make(0 if t is None else t)
+                    graph = construct_family(family)
+                    if graph.n != n:
+                        continue
+                    match = FamilyMatch(theorem, entry.index, t, format_spec(family), erratum)
+                    for known, matches in found:
+                        if are_isomorphic(known, graph):
+                            matches.append(match)
+                            break
+                    else:
+                        found.append((graph, [match]))
+            instances = instantiate_families(theorem, n)
+            assert [inst.matches for inst in instances] == [tuple(m) for _, m in found], n
+            assert all(inst.graph == graph for inst, (graph, _) in zip(instances, found)), n
 
     def test_family_matches_finds_a_relabelled_catalog_graph(self):
         g = construct_family(parse_expression("J(K2,E3)"))

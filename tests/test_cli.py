@@ -255,9 +255,24 @@ class TestVerify:
             raise AssertionError("an order was scanned")
 
         monkeypatch.setattr(f"symbreak.cli.{check}", no_scan)
-        code, out, err = run_cli(capsys, "verify", target, "--n", "1..7")
+        code, out, err = run_cli(capsys, "verify", target, "--n", "1..8")
         assert code == 3 and out == ""
-        assert "enumeration is capped at order 6" in err
+        assert "enumeration is capped at order 7" in err
+
+    @pytest.mark.parametrize("target", ["Dn2", "Dn3"])
+    def test_order_7_scan_matches_the_class_file(self, capsys, target):
+        # the internal order-7 enumeration and the file of all 1,044 classes
+        # give one report, up to its timing
+        path = os.path.join(os.path.dirname(__file__), "data", "order7_classes.g6")
+        reports = []
+        for source in ([], ["--graph6-file", path]):
+            code, out, _ = run_cli(capsys, "verify", target, "--n", "7", "--errata", *source)
+            assert code == 0
+            (report,) = json.loads(out)
+            report.pop("elapsed_seconds")
+            reports.append(report)
+        assert reports[0] == reports[1]
+        assert reports[0]["scanned"] == 1044 and reports[0]["verdict"] == "PASS"
 
     def test_bound_from_a_graph6_file(self, capsys, order7_path):
         code, out, _ = run_cli(
@@ -353,7 +368,7 @@ class TestEnumerate:
         assert "--n must be at least 1, got 0" in err
 
     def test_internal_bound_exits_3(self, capsys):
-        code, _, err = run_cli(capsys, "enumerate", "--n", "7")
+        code, _, err = run_cli(capsys, "enumerate", "--n", "8")
         assert code == 3
 
     def test_graph6_file_unlocks_order_7(self, capsys, order7_path):

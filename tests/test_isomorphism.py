@@ -8,6 +8,7 @@ import time
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symbreak import (
     Graph6Error,
@@ -133,6 +134,14 @@ class TestCanonicalForm:
             shuffled = relabel(g, tuple(perm))
             assert canonical_form(shuffled).value == brute_canonical_value(g) == pair_mask(g)
 
+    @pytest.mark.parametrize("n", [7, 8])
+    @given(data=st.data())
+    @settings(max_examples=10, deadline=None)
+    def test_matches_exhaustive_permutation_minimum_above_order_6(self, n, data):
+        # the oracle tries all n! relabelings, under 0.1 s at order 8
+        g = data.draw(graphs(min_n=n, max_n=n))
+        assert canonical_form(g).value == brute_canonical_value(g)
+
     @given(graphs_with_permutation(min_n=7, max_n=10))
     @settings(max_examples=60, deadline=None)
     def test_invariant_under_relabeling_up_to_the_cap(self, pair):
@@ -249,7 +258,7 @@ class TestEnumeration:
 
     def test_order_bound(self):
         with pytest.raises(OrderLimitError):
-            list(enumerate_graphs(7))
+            list(enumerate_graphs(8))
 
     @pytest.mark.parametrize("n", range(6))
     def test_generator_matches_brute_force_classes(self, n):
@@ -261,6 +270,13 @@ class TestEnumeration:
 
     def test_generator_reaches_every_order_7_class(self, order7_classes):
         assert set(_canonical_masks(7)) == {canonical_form(g).value for g in order7_classes}
+
+    def test_generator_reaches_every_order_8_class(self, order8_classes):
+        # OEIS A000088 and A001349: 12,346 graphs of order 8, 11,117 connected
+        masks = _canonical_masks(8)
+        assert masks == tuple(sorted({canonical_form(g).value for g in order8_classes}))
+        assert len(masks) == 12346
+        assert sum(is_connected(graph_from_pair_mask(8, mask)) for mask in masks) == 11117
 
     @pytest.mark.parametrize("n", range(6))
     def test_one_neighbourhood_per_orbit_of_vertex_subsets(self, n):
