@@ -236,20 +236,25 @@ def are_twins(g: Graph, u: int, v: int) -> bool:
 
 
 def twin_partition(g: Graph) -> list[list[int]]:
-    """Partition the vertices into maximal classes of mutual twins.
+    """Maximal classes of mutual twins, in order of their least vertex."""
+    return twin_classes_of_rows(g.adj)
 
-    The relation "equal or twins" is an equivalence on simple graphs (a
-    vertex cannot have both an open and a closed twin), so grouping against
-    one representative per class is exact.
+
+def twin_classes_of_rows(adj: Sequence[int]) -> list[list[int]]:
+    """:func:`twin_partition` of the simple graph with adjacency rows ``adj``.
+
+    Twins share either their open or their closed neighbourhood.  A vertex
+    has no open twin and closed twin at once, and no open neighbourhood
+    equals a closed one, so one pass keyed by both finds every class.
     """
     classes: list[list[int]] = []
-    for v in range(g.n):
-        for cls in classes:
-            if are_twins(g, cls[0], v):
-                cls.append(v)
-                break
-        else:
-            classes.append([v])
+    by_key: dict[int, list[int]] = {}
+    for v, row in enumerate(adj):
+        cls = by_key.get(row) or by_key.get(row | 1 << v) or []
+        if not cls:
+            classes.append(cls)
+        cls.append(v)
+        by_key[row] = by_key[row | 1 << v] = cls
     return classes
 
 

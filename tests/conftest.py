@@ -69,3 +69,12 @@ def order8_classes() -> list[Graph]:
     """One graph per isomorphism class of order 8, from ``order8_classes.g6``,
     written from ``isomorphism._canonical_masks(8)``."""
     return _data_graphs("order8_classes.g6")
+
+
+@pytest.fixture(scope="session")
+def order9_high_d() -> list[Graph]:
+    """The 184 isomorphism classes of order 9 with D >= 5, from
+    ``order9_high_d.g6``: every class of ``isomorphism._canonical_masks(9)``
+    whose ``distinguishing_number`` is at least 5, in increasing mask order,
+    written once by scanning all 274,668 classes."""
+    return _data_graphs("order9_high_d.g6")

@@ -76,6 +76,16 @@ def tree_metric_dimension(g: Graph) -> int:
     return len(leaves) - len(exterior)
 
 
+def pair_mask(g: Graph) -> int:
+    """Row-major upper-triangle bits of ``g`` as one integer (MSB first),
+    in ``g``'s own labelling."""
+    value = 0
+    for i in range(g.n):
+        for j in range(i + 1, g.n):
+            value = value << 1 | (g.adj[i] >> j & 1)
+    return value
+
+
 def brute_canonical_value(g: Graph) -> int:
     """Minimum packed row-major upper-triangle value over all n! orderings."""
     n = g.n

@@ -1,5 +1,7 @@
 """Catalog instantiation, classification reports, and coverage predicate."""
 
+from collections import Counter
+
 import pytest
 
 from symbreak import (
@@ -212,6 +214,7 @@ def erratum_instances(theorem, n):
 
 #: The order-8 graphs with D = 5 inside coverage that no paper row of Dn3 holds.
 ORDER_8_DN3_MISSES = ("G??Bzw", "G??Bz{", "GB\\zz{", "G???N{", "G@Kx~{", "GJ\\{F{")
+ORDER_9_DN3_MISSES = ("H???B|}", "H???B|~", "HB\\zz|~", "H????F~", "H@Kxx~~", "HJ\\z{B~")
 
 
 class TestErrata:
@@ -312,6 +315,32 @@ class TestErrata:
     @pytest.mark.parametrize("line", ORDER_8_DN3_MISSES)
     def test_oracle_agrees_on_every_order_8_miss(self, line):
         assert brute_distinguishing_number(parse_graph6(line)) == 5
+
+    def test_order_9_file_holds_the_classes_with_d_at_least_5(self, order9_high_d):
+        # 184 pairwise non-isomorphic graphs: 2, 2, 8, 28 and 144 with D = 9 - k
+        assert len(order9_high_d) == 184 and all(g.n == 9 for g in order9_high_d)
+        assert len({canonical_form(g).value for g in order9_high_d}) == 184
+        counts = Counter(9 - distinguishing_number(g) for g in order9_high_d)
+        assert counts == {0: 2, 1: 2, 2: 8, 3: 28, 4: 144}
+
+    def test_paper_rows_miss_exactly_six_order_9_errata(self, order9_high_d):
+        report = check_characterization(TheoremId.DN3, 9, graphs=order9_high_d, errata=False)
+        assert [m.graph6 for m in report.mismatches] == list(ORDER_9_DN3_MISSES)
+        rows = []
+        for line in ORDER_9_DN3_MISSES:
+            (match,) = family_matches(TheoremId.DN3, parse_graph6(line))
+            assert match.erratum and match.t == 6, line
+            rows.append(match.entry)
+        assert sorted(rows) == [43, 44, 45, 46, 47, 48]
+
+    @pytest.mark.parametrize("theorem", list(TheoremId))
+    def test_amended_catalogs_pass_over_order_9(self, theorem, order9_high_d):
+        # the file holds every order-9 class with D >= 5, so each catalog's
+        # reverse direction sees every graph it must match
+        report = check_characterization(theorem, 9, graphs=order9_high_d)
+        assert report.scanned == 184
+        assert report.passed, [m.to_dict() for m in report.mismatches]
+        assert report.excluded == []
 
     @pytest.mark.parametrize("t", [2, 3, 4])
     def test_cone_over_two_cliques_has_d_t_plus_1(self, t):

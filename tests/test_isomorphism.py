@@ -38,11 +38,10 @@ from symbreak.isomorphism import (
     _canonical_masks,
     _orbit_subsets,
     graph_from_pair_mask,
-    pair_mask,
 )
 
 from conftest import graphs, graphs_with_permutation, relabel
-from oracles import brute_automorphisms, brute_canonical_value
+from oracles import brute_automorphisms, brute_canonical_value, pair_mask
 
 def build(text):
     return construct_family(parse_expression(text))
@@ -281,7 +280,8 @@ class TestEnumeration:
     @pytest.mark.parametrize("n", range(6))
     def test_one_neighbourhood_per_orbit_of_vertex_subsets(self, n):
         # over every labelled graph of order n, the subsets the generator
-        # tries meet each orbit of Aut(g) on vertex subsets exactly once
+        # tries with a size floor ``least`` meet each orbit of Aut(g) on the
+        # vertex subsets of at least ``least`` vertices exactly once
         for mask in range(1 << (n * (n - 1) // 2)):
             g = graph_from_pair_mask(n, mask)
             perms = brute_automorphisms(g)
@@ -289,8 +289,11 @@ class TestEnumeration:
             def orbit_min(subset):
                 return min(sum(1 << p[v] for v in range(n) if subset >> v & 1) for p in perms)
 
-            tried = sorted(orbit_min(subset) for subset in _orbit_subsets(g))
-            assert tried == sorted({orbit_min(subset) for subset in range(1 << n)}), mask
+            orbits = {orbit_min(subset) for subset in range(1 << n)}
+            for least in sorted({0, 1, n // 2, n}):
+                tried = sorted(orbit_min(subset) for subset in _orbit_subsets(g, least))
+                expected = sorted(m for m in orbits if m.bit_count() >= least)
+                assert tried == expected, (mask, least)
 
     def test_importing_the_cli_loads_no_numpy(self):
         src = os.path.dirname(os.path.dirname(symbreak.__file__))

@@ -1,6 +1,8 @@
 """Twin classes, the quotient graph, almost asymmetry, and the core graph."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symbreak import (
     are_isomorphic,
@@ -23,6 +25,34 @@ from symbreak import (
     twin_graph,
 )
 from symbreak.graphs import FamilySpec, construct_family
+from symbreak.isomorphism import graph_from_pair_mask
+
+from conftest import graphs, relabel
+
+
+def pairwise_twin_classes(g):
+    """Twin classes by testing each vertex against one member of each class
+    found so far, with :func:`are_twins`."""
+    classes = []
+    for v in range(g.n):
+        for cls in classes:
+            if are_twins(g, cls[0], v):
+                cls.append(v)
+                break
+        else:
+            classes.append([v])
+    return classes
+
+
+@st.composite
+def relabelled_blow_ups(draw):
+    """A random graph of order up to 8 with each vertex blown up to a part
+    of up to 8 vertices, relabelled so that classes interleave."""
+    h = draw(graphs(min_n=1, max_n=8))
+    kinds = st.sampled_from(["complete", "empty"])
+    parts = draw(st.lists(st.tuples(st.integers(1, 8), kinds), min_size=h.n, max_size=h.n))
+    g = blow_up(h, parts)
+    return relabel(g, tuple(draw(st.permutations(range(g.n)))))
 
 
 class TestTwinClasses:
@@ -45,6 +75,18 @@ class TestTwinClasses:
             for u in range(n):
                 for v in range(u + 1, n):
                     assert are_twins(g, u, v) == (class_of[u] == class_of[v])
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_one_pass_equals_pairwise_grouping_on_every_labelled_graph(self, n):
+        # same classes, in order of least vertex, members in increasing order
+        for mask in range(1 << (n * (n - 1) // 2)):
+            g = graph_from_pair_mask(n, mask)
+            assert twin_classes(g) == pairwise_twin_classes(g), mask
+
+    @given(relabelled_blow_ups())
+    @settings(max_examples=60, deadline=None)
+    def test_one_pass_equals_pairwise_grouping_on_blow_ups(self, g):
+        assert twin_classes(g) == pairwise_twin_classes(g)
 
 
 class TestTwinGraph:
