@@ -14,8 +14,8 @@ INPUT is either a graph6 line or a family expression (see the grammar in
 everything passed, 1 when a verification failed, 2 on unparsable input, a
 --jobs below 1, a --max below 2, an order below 1 or an order range that
 selects nothing, 3 when a graph is beyond the supported bounds (an order
-above the enumeration cap, a --max above 9, or a twin graph with more than
-16 twin classes and a symmetry that moves them).
+above the enumeration cap, a --max above 9, or a symmetry search over its
+step budget, named in the message), 141 when the reader closes stdout.
 """
 
 from __future__ import annotations
@@ -24,6 +24,7 @@ import argparse
 import csv
 import io
 import json
+import os
 import sys
 
 from .catalog import (
@@ -48,6 +49,7 @@ EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
 EXIT_PARSE_ERROR = 2
 EXIT_BOUNDS = 3
+EXIT_BROKEN_PIPE = 141  # 128 + SIGPIPE, as a shell reports a process the signal ended
 
 _GRAMMAR = """family expression grammar (whitespace ignored):
   K<n> E<n> P<n> C<n> T<k>   complete, empty, path, cycle, broom tree
@@ -296,7 +298,13 @@ def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # so that a closed pipe raises here, not at exit
+        return code
+    except BrokenPipeError:
+        # the signal docs' SIGPIPE recipe: the flush at exit goes to devnull
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (OrderLimitError, TheoremNotApplicableError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BOUNDS

@@ -36,14 +36,11 @@ from .graphs import (
 from .resolving import is_resolving
 from .twins import twin_graph
 
-#: ``class_symmetries`` lists the labelled group of G* only up to this many
-#: twin classes.  Beyond it the labelled search only asks whether a
-#: nontrivial labelled automorphism exists: when none does, D is the
-#: largest class size and every class is a vertex orbit at any order up to
-#: 64; when one does, the callers refuse.  The element cap bounds the
-#: listing.
-AUT_MAX_VERTICES = 16
-AUT_MAX_GROUP_SIZE = 50_000
+#: Steps each symmetry search may take before it raises OrderLimitError:
+#: candidate images tried by ``isometries`` and color-set tuples tried by
+#: ``distinguishing_number`` over all k.  Benchmark inputs take at most 8,210
+#: and 1,740; tests 20,240 and 1,740, apart from C64's 512,064 images.
+SEARCH_MAX_STEPS = 2_000_000
 
 
 class NotResolvingError(GraphError):
@@ -97,13 +94,18 @@ def isometries(
     order = sorted(range(n), key=lambda v: (len(candidates[v]), v))
     image = [-1] * n
     used = [False] * n
+    steps = 0
 
     def extend(i: int) -> bool | None:
+        nonlocal steps
         if i == n:
             return visit(image)
         v = order[i]
         row_v = dist_g[v]
         for w in candidates[v]:
+            steps += 1
+            if steps > SEARCH_MAX_STEPS:
+                raise OrderLimitError(f"isometry search over its {SEARCH_MAX_STEPS:,}-step budget")
             if used[w]:
                 continue
             if all(row_v[u] == dist_h[w][image[u]] for u in order[:i]):
@@ -139,29 +141,16 @@ def class_symmetries(g: Graph) -> ClassSymmetries:
     backtrack itself.
 
     Raises:
-        OrderLimitError: when the labelled group has more than
-            ``AUT_MAX_GROUP_SIZE`` elements, or when the twin graph has more
-            than ``AUT_MAX_VERTICES`` classes and any nontrivial labelled
-            automorphism at all.
+        OrderLimitError: when listing the group tries more than
+            ``SEARCH_MAX_STEPS`` candidate images.
     """
     structure = twin_graph(g)
-    m = len(structure.classes)
     moved: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
 
     def keep(image: list[int]) -> None:
-        support = tuple(c for c in range(m) if image[c] != c)
-        if not support:
-            return
-        if m > AUT_MAX_VERTICES:
-            raise OrderLimitError(
-                f"the twin graph has {m} twin classes, above the {AUT_MAX_VERTICES} "
-                "supported, and a symmetry that moves twin classes"
-            )
-        moved.append((support, tuple(image)))
-        if len(moved) >= AUT_MAX_GROUP_SIZE:
-            raise OrderLimitError(
-                f"the labelled group of the twin graph exceeds {AUT_MAX_GROUP_SIZE} elements"
-            )
+        support = tuple(c for c, d in enumerate(image) if c != d)
+        if support:
+            moved.append((support, tuple(image)))
 
     isometries(structure.quotient, structure.quotient, keep, structure.labels)
     moved.sort(key=lambda pair: (len(pair[0]), pair[1]))
@@ -251,13 +240,16 @@ def distinguishing_number(g: Graph) -> int:
     sizes = [len(cls) for cls in symmetries.classes]
     # only these classes vary; every other one keeps its lowest colors
     varied = sorted({c for support, _ in symmetries.moved for c in support})[1:]
+    steps = 0
     for k in range(max(sizes), g.n + 1):
         palettes = [range(k if d in varied else size) for d, size in enumerate(sizes)]
         choices = [
             [sum(1 << c for c in combo) for combo in itertools.combinations(palette, size)]
             for palette, size in zip(palettes, sizes)
         ]
-        for color_sets in itertools.product(*choices):
+        for steps, color_sets in enumerate(itertools.product(*choices), steps + 1):
+            if steps > SEARCH_MAX_STEPS:
+                raise OrderLimitError(f"coloring search over its {SEARCH_MAX_STEPS:,}-step budget")
             if _breaks_all(color_sets, symmetries.moved):
                 return k
     raise AssertionError("an all-distinct coloring always distinguishes")

@@ -70,11 +70,21 @@ class TestAnalyze:
         assert code == 2
         assert "error" in err
 
-    def test_order_beyond_bounds_exits_3(self, capsys):
-        # C20 has no twins, so its twin graph has 20 classes and a nontrivial group
-        code, _, err = run_cli(capsys, "analyze", "C20")
-        assert code == 3
-        assert "error" in err and "20 twin classes" in err
+    @pytest.mark.parametrize(
+        "expression, stage",
+        [
+            # a labelled group of 10! elements, listed one candidate image at a time
+            ("K(2,2,2,2,2,2,2,2,2,2)", "isometry"),
+            # 23 classes; a group of 10,000 elements turns four 5-cycles independently
+            ("U(C5,J(K1,C5),J(K2,C5),J(E2,C5))", "coloring"),
+        ],
+    )
+    def test_search_over_its_budget_exits_3(self, capsys, expression, stage):
+        start = time.process_time()
+        code, out, err = run_cli(capsys, "analyze", expression)
+        assert time.process_time() - start < 5.0
+        assert code == 3 and out == ""
+        assert f"error: {stage} search over its 2,000,000-step budget" in err
 
     @pytest.mark.parametrize(
         "expression, d, dim",
@@ -84,6 +94,8 @@ class TestAnalyze:
             ("E11", 11, None),
             ("J(K1,U(K1,K2,K3,K4,K5,K6,K7,K8,K9,K10))", 10, 45),
             ("T8", 1, 7),
+            ("C20", 2, 2),
+            ("P64", 2, 1),
         ],
     )
     def test_large_twin_classes_are_answered(self, capsys, expression, d, dim):
@@ -299,6 +311,13 @@ class TestVerify:
             assert code == 2 and out == ""
             assert f"{path}:{where}" in err
 
+    def test_unreadable_graph6_file_exits_2_naming_the_path(self, capsys, tmp_path):
+        # an OSError on the input is bad input; only a closed stdout is not
+        for path in (tmp_path / "missing.g6", tmp_path):
+            code, out, err = run_cli(capsys, "enumerate", "--n", "4", "--graph6-file", str(path))
+            assert code == 2 and out == ""
+            assert str(path) in err
+
     @pytest.mark.parametrize("jobs", ["0", "-3"])
     def test_jobs_below_one_exit_2(self, capsys, jobs):
         for argv in (["verify", "Dn", "--n", "4"], ["enumerate", "--n", "4"]):
@@ -410,6 +429,26 @@ def test_console_entry_point_runs():
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["D"] == 3
+
+
+def test_closed_stdout_exits_141_silently():
+    # order 7 in JSON is about 97 KB, more than a 64 KB pipe holds, so the
+    # command is still writing when the reader goes away after one byte
+    src = os.path.dirname(os.path.dirname(symbreak.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "symbreak.cli", "enumerate", "--n", "7", "--format", "json"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=env,
+        bufsize=0,
+    )
+    assert proc.stdout.read(1) == b"["
+    proc.stdout.close()
+    _, err = proc.communicate(timeout=120)
+    assert proc.returncode == 141
+    assert err == b""
 
 
 # --- CLI fuzzing -------------------------------------------------------------

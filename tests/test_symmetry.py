@@ -35,6 +35,7 @@ from symbreak import (
 from symbreak.graphs import DisconnectedError, GraphError
 from symbreak.expressions import parse_expression
 from symbreak.graphs import construct_family
+from symbreak import symmetry
 from symbreak.symmetry import class_symmetries, isometries
 
 from conftest import graphs, graphs_with_permutation, relabel
@@ -100,11 +101,10 @@ class TestVertexOrbits:
         assert vertex_orbits(complete_graph(20)) == [list(range(20))]
         assert vertex_orbits(complete_multipartite_graph(9, 9)) == [list(range(18))]
 
-    def test_twin_free_graphs_beyond_the_class_cap(self):
+    def test_twin_free_graphs_above_sixteen_classes(self):
         # T8 has 37 twin classes and no symmetry; C20 has 20 classes that move
         assert vertex_orbits(broom_tree(8)) == [[v] for v in range(37)]
-        with pytest.raises(OrderLimitError, match="20 twin classes"):
-            vertex_orbits(cycle_graph(20))
+        assert vertex_orbits(cycle_graph(20)) == [list(range(20))]
 
     @given(graphs(min_n=1, max_n=6))
     @settings(max_examples=50, deadline=None)
@@ -168,14 +168,14 @@ class TestDistinguishingNumber:
         assert distinguishing_number(complete_graph(n)) == n
         assert distinguishing_number(empty_graph(n)) == n
 
-    @pytest.mark.parametrize("n", range(2, 9))
+    @pytest.mark.parametrize("n", [*range(2, 9), 20, 64])
     def test_paths_need_two_colors(self, n):
         assert distinguishing_number(path_graph(n)) == 2
 
     def test_balanced_complete_bipartite(self):
         assert distinguishing_number(complete_multipartite_graph(3, 3)) == 4
 
-    @pytest.mark.parametrize("n,expected", [(3, 3), (4, 3), (5, 3), (6, 2)])
+    @pytest.mark.parametrize("n,expected", [(3, 3), (4, 3), (5, 3), (6, 2), (20, 2), (64, 2)])
     def test_small_cycles(self, n, expected):
         assert distinguishing_number(cycle_graph(n)) == expected
 
@@ -249,11 +249,10 @@ class TestClassSymmetries:
         assert len(symmetries.classes) == 11 and symmetries.moved == ()
         assert distinguishing_number(g) == 10
 
-    def test_twin_free_graphs_beyond_the_class_cap(self):
-        # T8 has 37 twin classes and no symmetry at all
+    def test_twin_free_graphs_above_sixteen_classes(self):
+        # T8 has 37 twin classes and no symmetry at all; C20's group has 40 elements
         assert distinguishing_number(broom_tree(8)) == 1
-        with pytest.raises(OrderLimitError, match="20 twin classes"):
-            distinguishing_number(cycle_graph(20))
+        assert distinguishing_number(cycle_graph(20)) == 2
 
     def test_one_element_per_labelled_automorphism(self):
         # K(2,2,3): the two parts of size 2 swap; the part of size 3 is fixed
@@ -268,6 +267,28 @@ class TestClassSymmetries:
         images.clear()
         isometries(path_graph(3), path_graph(3), lambda f: images.append(tuple(f)), [1, 2, 3])
         assert images == [(0, 1, 2)]
+
+
+class TestSearchBudget:
+    """Each search answers with exactly the steps it needs, and one step less
+    refuses: C20's group takes 14,820 candidate images, and U(C5,C5) takes
+    1,740 color-set assignments over k = 2 and 3."""
+
+    def test_isometry_budget(self, monkeypatch):
+        monkeypatch.setattr(symmetry, "SEARCH_MAX_STEPS", 14_820)
+        assert len(class_symmetries.__wrapped__(cycle_graph(20)).moved) == 39
+        monkeypatch.setattr(symmetry, "SEARCH_MAX_STEPS", 14_819)
+        with pytest.raises(OrderLimitError, match="isometry search over its 14,819-step budget"):
+            class_symmetries.__wrapped__(cycle_graph(20))
+
+    def test_coloring_budget(self, monkeypatch):
+        g = disjoint_union(cycle_graph(5), cycle_graph(5))
+        class_symmetries(g)  # listed under the full budget; only the coloring search is bounded
+        monkeypatch.setattr(symmetry, "SEARCH_MAX_STEPS", 1_740)
+        assert distinguishing_number.__wrapped__(g) == 3
+        monkeypatch.setattr(symmetry, "SEARCH_MAX_STEPS", 1_739)
+        with pytest.raises(OrderLimitError, match="coloring search over its 1,739-step budget"):
+            distinguishing_number.__wrapped__(g)
 
 
 class TestOrder7Invariants:
