@@ -14,12 +14,15 @@ graphs the exhaustive scans find with the catalog's value but in no printed
 row; they sit in a separate table, are numbered after the paper's rows, and
 every match they produce is flagged ``erratum``.
 
-Instantiation enumerates every parameter value of every template that lands
-on a requested order, keeps one representative per isomorphism class, and
-records all (entry, parameter) aliases that produced it.  Membership
-questions are answered by isomorphism against these concrete instances
-(:func:`family_matches`), so there is a single matching mechanism and no
-per-family recognition code.
+Instantiation reads off each row's spec the member, if any, of a requested
+order, builds only that member, keeps one representative per isomorphism
+class, and records all (entry, parameter) aliases that produced it.
+Membership questions are answered by isomorphism against these concrete
+instances (:func:`family_matches`) at every order, so there is a single
+matching mechanism and no per-family recognition code.  Two instances of one
+catalog share a degree sequence only in three pairs of ``Dn3`` at orders 5
+and 6, and unequal degree sequences are told apart without a search, so
+matching costs about one comparison per instance.
 """
 
 from __future__ import annotations
@@ -38,9 +41,10 @@ from .graphs import (
     build_graph,
     construct_family,
     diameter,
+    family_order,
     is_connected,
 )
-from .isomorphism import CANONICAL_MAX_VERTICES, are_isomorphic, write_graph6
+from .isomorphism import are_isomorphic, write_graph6
 from .resolving import metric_dimension
 from .symmetry import distinguishing_number
 from .twins import core_graph, twin_graph
@@ -259,8 +263,8 @@ def instantiate_families(theorem: TheoremId, n: int) -> tuple[FamilyInstance, ..
     from the paper's rows and then from the rows of :data:`ERRATA`;
     isomorphic outcomes are merged, keeping all aliases.  Instances come in
     the order of their first alias.  Every row grows by one vertex per unit
-    of its parameter, so the parameter of a row's order-``n`` member is read
-    off the order of its first member, and no other member is built.
+    of its parameter, so :func:`family_order` of a row's first member gives
+    the parameter of its order-``n`` member, and only that member is built.
 
     Raises:
         TheoremNotApplicableError: below the catalog's minimum order.
@@ -274,15 +278,15 @@ def instantiate_families(theorem: TheoremId, n: int) -> tuple[FamilyInstance, ..
     rows = [(entry, False) for entry in spec.entries]
     rows += [(entry, True) for entry in ERRATA.get(theorem, ())]
     for entry, erratum in rows:
-        t = None
-        if entry.t_min is not None:
-            t = entry.t_min + n - construct_family(entry.make(entry.t_min)).n
+        t = entry.t_min
+        if t is not None:
+            t += n - family_order(entry.make(t))
             if t < entry.t_min:
                 continue
         family = entry.make(0 if t is None else t)
-        graph = construct_family(family)
-        if graph.n != n:
+        if family_order(family) != n:
             continue
+        graph = construct_family(family)
         match = FamilyMatch(theorem, entry.index, t, format_spec(family), erratum)
         for known, matches in found:
             if are_isomorphic(known, graph):
@@ -359,10 +363,9 @@ def classify_graph(g: Graph) -> ClassificationReport:
     dim = metric_dimension(g).dim if connected else None
     core = core_graph(g)
     matches: list[FamilyMatch] = []
-    if g.n <= CANONICAL_MAX_VERTICES:
-        for tid in TheoremId:
-            if g.n >= tid.min_order:
-                matches.extend(family_matches(tid, g))
+    for tid in TheoremId:
+        if g.n >= tid.min_order:
+            matches.extend(family_matches(tid, g))
     return ClassificationReport(
         graph6=write_graph6(g),
         n=g.n,

@@ -12,8 +12,8 @@ Subcommands::
 INPUT is either a graph6 line or a family expression (see the grammar in
 ``symbreak --help`` or :mod:`symbreak.expressions`).  Exit codes: 0 when
 everything passed, 1 when a verification failed, 2 on unparsable input, a
---jobs below 1, a --max below 2, an order below 1 or an order range that
-selects nothing, 3 when a graph is beyond the supported bounds (an order
+--jobs below 1, a --max below 2, an order below 1 or an order or range
+that selects nothing, 3 when a graph is beyond the supported bounds (an order
 above the enumeration cap, a --max above 9, or a symmetry search over its
 step budget, named in the message), 141 when the reader closes stdout.
 """
@@ -216,6 +216,8 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     if args.n < 1:
         raise UsageError(f"--n must be at least 1, got {args.n}")
     file_graphs = load_graph6_file(args.graph6_file) if args.graph6_file else None
+    if file_graphs is not None and all(g.n != args.n for g in file_graphs):
+        raise UsageError(f"{args.graph6_file} has no graph of order {args.n}")
     rows = enumeration_rows(
         args.n,
         graphs=file_graphs,

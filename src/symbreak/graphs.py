@@ -86,6 +86,10 @@ class Graph:
         return sum(row.bit_count() for row in self.adj) // 2
 
     def degree_sequence(self) -> tuple[int, ...]:
+        return self._degree_sequence
+
+    @cached_property
+    def _degree_sequence(self) -> tuple[int, ...]:
         return tuple(sorted(row.bit_count() for row in self.adj))
 
     @cached_property
@@ -355,31 +359,44 @@ def bull_graph() -> Graph:
 
 
 class LeafKind(NamedTuple):
-    """How one leaf family kind is built and how it is written.
+    """How one leaf family kind is built, how it is written, and its order.
 
     In the expression language ``name`` is followed by ``arity`` integer
     parameters: none (``bull``), one (``K5``), or at arity 2 a
-    parenthesised list of two or more (``K(3,3)``).
+    parenthesised list of two or more (``K(3,3)``).  ``order`` maps the
+    same parameters to the order of the graph ``build`` returns.
     """
 
     build: Callable[..., Graph]
     name: str
     arity: int
+    order: Callable[..., int]
 
 
 #: Every leaf family kind.  The expression parser tries the kinds in this
 #: order, so a fixed name comes before a kind whose name it extends
 #: (``C5'`` before ``C<n>``).
 LEAF_KINDS: dict[str, LeafKind] = {
-    "house": LeafKind(house_graph, "C5'", 0),
-    "bull": LeafKind(bull_graph, "bull", 0),
-    "complete": LeafKind(complete_graph, "K", 1),
-    "empty": LeafKind(empty_graph, "E", 1),
-    "path": LeafKind(path_graph, "P", 1),
-    "cycle": LeafKind(cycle_graph, "C", 1),
-    "broom_tree": LeafKind(broom_tree, "T", 1),
-    "complete_multipartite": LeafKind(complete_multipartite_graph, "K", 2),
+    "house": LeafKind(house_graph, "C5'", 0, lambda: 5),
+    "bull": LeafKind(bull_graph, "bull", 0, lambda: 5),
+    "complete": LeafKind(complete_graph, "K", 1, lambda n: n),
+    "empty": LeafKind(empty_graph, "E", 1, lambda n: n),
+    "path": LeafKind(path_graph, "P", 1, lambda n: n),
+    "cycle": LeafKind(cycle_graph, "C", 1, lambda n: n),
+    "broom_tree": LeafKind(broom_tree, "T", 1, lambda k: 1 + k * (k + 1) // 2),
+    "complete_multipartite": LeafKind(complete_multipartite_graph, "K", 2, lambda *s: sum(s)),
 }
+
+
+def family_order(spec: FamilySpec) -> int:
+    """The order of :func:`construct_family` ``(spec)``, read off the spec
+    without building it; a spec the builders reject still gets a number."""
+    leaf = LEAF_KINDS.get(spec.kind)
+    if leaf is not None:
+        return leaf.order(*spec.params)
+    if spec.kind == "blow_up":
+        return sum(size for size, _ in spec.pieces)
+    return sum(family_order(sub) for sub in spec.parts)
 
 
 def construct_family(spec: FamilySpec) -> Graph:

@@ -148,8 +148,11 @@ def are_isomorphic(g: Graph, h: Graph) -> bool:
     Twin classes are modules, so ``g`` and ``h`` are isomorphic exactly when
     some isomorphism of their twin graphs maps every class onto one of the
     same size and type.  The search runs on the twin graphs alone and never
-    permutes the vertices inside a class.
+    permutes the vertices inside a class, and graphs whose degree sequences
+    differ never reach it.
     """
+    if g.degree_sequence() != h.degree_sequence():
+        return False
     tg, th = twin_graph(g), twin_graph(h)
     return isometries(tg.quotient, th.quotient, lambda _image: True, tg.labels, th.labels)
 

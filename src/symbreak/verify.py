@@ -8,7 +8,6 @@ content.  Scans distribute per-graph work over a process pool when asked.
 
 from __future__ import annotations
 
-import multiprocessing
 import os
 import time
 from dataclasses import dataclass, field
@@ -68,6 +67,8 @@ class VerifyReport:
 def _map_jobs(fn, items, jobs: int):
     jobs = min(jobs, os.cpu_count() or 1)
     if jobs > 1 and len(items) > 1:
+        import multiprocessing  # about 10 ms of start-up, paid only with a pool
+
         with multiprocessing.Pool(jobs) as pool:
             return pool.map(fn, items)
     return [fn(item) for item in items]

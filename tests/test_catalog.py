@@ -18,6 +18,7 @@ from symbreak import (
     disjoint_union,
     distinguishing_number,
     enumerate_graphs,
+    family_order,
     format_spec,
     in_family_f,
     instantiate_families,
@@ -81,14 +82,38 @@ class TestInstantiation:
 
     @pytest.mark.parametrize("theorem", list(TheoremId), ids=lambda t: t.value)
     def test_every_row_grows_by_one_vertex_per_unit_of_t(self, theorem):
-        # instantiate_families reads a row's order-n member off this growth
+        # instantiate_families reads a row's order-n member off this growth,
+        # and reads each order off the spec
         for entry, _ in catalog_rows(theorem):
             if entry.t_min is None:
+                spec = entry.make(0)
+                assert family_order(spec) == construct_family(spec).n, entry.index
                 continue
-            orders = [
-                construct_family(entry.make(t)).n for t in range(entry.t_min, entry.t_min + 31)
-            ]
+            orders = []
+            for t in range(entry.t_min, entry.t_min + 31):
+                spec = entry.make(t)
+                orders.append(construct_family(spec).n)
+                assert family_order(spec) == orders[-1], (entry.index, t)
             assert orders == list(range(orders[0], orders[0] + 31)), entry.index
+
+    @pytest.mark.parametrize("theorem", list(TheoremId), ids=lambda t: t.value)
+    def test_only_the_members_of_the_requested_order_are_built(self, theorem, monkeypatch):
+        from symbreak import catalog
+
+        built = []
+        build = catalog.construct_family
+
+        def counted(spec):
+            built.append(spec)
+            return build(spec)
+
+        monkeypatch.setattr(catalog, "construct_family", counted)
+        for n in range(max(5, theorem.min_order), 13):
+            catalog.instantiate_families.cache_clear()
+            built.clear()
+            instances = instantiate_families(theorem, n)
+            assert len(built) == sum(len(inst.matches) for inst in instances), n
+        catalog.instantiate_families.cache_clear()
 
     @pytest.mark.parametrize("theorem", list(TheoremId), ids=lambda t: t.value)
     def test_instances_equal_those_of_building_every_member(self, theorem):

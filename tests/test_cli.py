@@ -108,6 +108,19 @@ class TestAnalyze:
         payload = json.loads(out)
         assert (payload["D"], payload["dim"]) == (d, dim)
 
+    @pytest.mark.parametrize(
+        "expression, line",
+        [
+            ("E11", "matched: Dn entry 2 t=11  E11"),
+            ("J(K1,U(K2,E40))", "matched: Dn3 entry 43 t=40  J(K1,U(K2,E40)) (erratum)"),
+            ("K64", "matched: Dn entry 1 t=64  K64"),
+        ],
+    )
+    def test_catalogs_are_matched_at_every_order(self, capsys, expression, line):
+        code, out, _ = run_cli(capsys, "analyze", expression, "--format", "text")
+        assert code == 0
+        assert [row for row in out.splitlines() if row.startswith("matched:")] == [line]
+
 
 class TestVerify:
     def test_bound_over_small_orders(self, capsys):
@@ -390,6 +403,13 @@ class TestEnumerate:
         code, _, err = run_cli(capsys, "enumerate", "--n", "8")
         assert code == 3
 
+    def test_graph6_file_without_the_order_exits_2(self, capsys, tmp_path):
+        path = tmp_path / "order4.g6"
+        path.write_text("C~\nCr\n")
+        code, out, err = run_cli(capsys, "enumerate", "--n", "7", "--graph6-file", str(path))
+        assert code == 2 and out == ""
+        assert f"error: {path} has no graph of order 7" in err
+
     def test_graph6_file_unlocks_order_7(self, capsys, order7_path):
         code, out, _ = run_cli(
             capsys, "enumerate", "--n", "7", "--graph6-file", order7_path
@@ -415,33 +435,48 @@ class TestConstructCommand:
         assert payload["n"] == 5 and payload["edges"] == 7
 
 
-def test_console_entry_point_runs():
-    # the child gets the package's own source root, however pytest found it
+def child_env() -> dict[str, str]:
+    """The environment for a child interpreter that imports the package from
+    its own source root, however pytest found it."""
     src = os.path.dirname(os.path.dirname(symbreak.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def test_console_entry_point_runs():
     result = subprocess.run(
         [sys.executable, "-m", "symbreak.cli", "analyze", "C5"],
         capture_output=True,
         text=True,
-        env=env,
+        env=child_env(),
         timeout=120,
     )
     assert result.returncode == 0
     assert json.loads(result.stdout)["D"] == 3
 
 
+def test_cli_import_leaves_multiprocessing_out():
+    # the process pool's module is imported only when --jobs starts a pool
+    result = subprocess.run(
+        [sys.executable, "-c", "import sys, symbreak.cli; print('multiprocessing' in sys.modules)"],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
+
+
 def test_closed_stdout_exits_141_silently():
     # order 7 in JSON is about 97 KB, more than a 64 KB pipe holds, so the
     # command is still writing when the reader goes away after one byte
-    src = os.path.dirname(os.path.dirname(symbreak.__file__))
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     proc = subprocess.Popen(
         [sys.executable, "-m", "symbreak.cli", "enumerate", "--n", "7", "--format", "json"],
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
-        env=env,
+        env=child_env(),
         bufsize=0,
     )
     assert proc.stdout.read(1) == b"["

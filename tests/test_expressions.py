@@ -10,16 +10,24 @@ from symbreak import (
     complete_multipartite_graph,
     construct_family,
     cycle_graph,
+    family_order,
     format_spec,
     house_graph,
     parse_expression,
     path_graph,
 )
-from symbreak.graphs import LEAF_KINDS
+from symbreak.graphs import _COMBINATORS, LEAF_KINDS
 
 #: Parameters that every leaf builder accepts, by arity.
 SAMPLE_PARAMS = {0: (), 1: (4,), 2: (2, 3)}
 LEAF_SPECS = [FamilySpec(kind, SAMPLE_PARAMS[leaf.arity]) for kind, leaf in LEAF_KINDS.items()]
+#: One expression per combinator kind, each over leaves of several kinds.
+COMBINATOR_SAMPLES = {
+    "complement": "~U(T3,C5')",
+    "union": "U(K3,2*P2,bull)",
+    "join": "J(E2,K(1,2,3),C4)",
+    "blow_up": "B(J(K1,P3),K2,E3,K1,E4)",
+}
 
 
 def build(text):
@@ -111,6 +119,16 @@ class TestFormatting:
         # kind's name (K(2,3) for a bipartite kind) would build the same graph
         assert parse_expression(format_spec(spec)) == spec
         assert construct_family(spec).n > 0
+
+    @pytest.mark.parametrize("spec", LEAF_SPECS, ids=lambda spec: spec.kind)
+    def test_every_leaf_kind_knows_its_order(self, spec):
+        assert family_order(spec) == construct_family(spec).n
+
+    @pytest.mark.parametrize("kind", _COMBINATORS)
+    def test_every_combinator_knows_its_order(self, kind):
+        spec = parse_expression(COMBINATOR_SAMPLES[kind])
+        assert spec.kind == kind
+        assert family_order(spec) == construct_family(spec).n
 
     def test_collapses_repeated_union_operands(self):
         assert format_spec(parse_expression("U(K2,K2,K2)")) == "3*K2"

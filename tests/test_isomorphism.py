@@ -1,5 +1,6 @@
 """Canonical forms, isomorphism, enumeration counts, graph6 round-trips."""
 
+import itertools
 import os
 import random
 import subprocess
@@ -33,6 +34,8 @@ from symbreak import (
     write_graph6,
 )
 import symbreak
+from symbreak import isomorphism
+from symbreak.catalog import TheoremId, instantiate_families
 from symbreak.isomorphism import (
     CANONICAL_MAX_VERTICES,
     _canonical_masks,
@@ -45,6 +48,20 @@ from oracles import brute_automorphisms, brute_canonical_value, pair_mask
 
 def build(text):
     return construct_family(parse_expression(text))
+
+
+def counted_searches(monkeypatch) -> list[int]:
+    """A one-item list holding the number of isometry searches that
+    ``are_isomorphic`` starts from now on."""
+    calls = [0]
+    search = isomorphism.isometries
+
+    def counted(*args, **kwargs):
+        calls[0] += 1
+        return search(*args, **kwargs)
+
+    monkeypatch.setattr(isomorphism, "isometries", counted)
+    return calls
 
 
 def shrikhande_and_rook():
@@ -155,9 +172,34 @@ class TestAreIsomorphic:
     def test_star_vs_path(self):
         assert not are_isomorphic(complete_multipartite_graph(1, 3), path_graph(4))
 
-    def test_same_degree_sequence_but_different(self):
-        two_k2 = disjoint_union(complete_graph(2), complete_graph(2))
-        assert not are_isomorphic(cycle_graph(4), two_k2)
+    def test_same_degree_sequence_but_different(self, monkeypatch):
+        # both 2-regular on six vertices, so only the search tells them apart
+        searches = counted_searches(monkeypatch)
+        two_c3 = disjoint_union(cycle_graph(3), cycle_graph(3))
+        assert cycle_graph(6).degree_sequence() == two_c3.degree_sequence()
+        assert not are_isomorphic(cycle_graph(6), two_c3)
+        assert searches == [1]
+
+    def test_unequal_degree_sequences_never_reach_the_search(self, monkeypatch):
+        pairs = [
+            (cycle_graph(4), disjoint_union(complete_graph(2), complete_graph(2))),
+            (complete_multipartite_graph(1, 3), path_graph(4)),
+            (build("K(3,3)"), build("2*K3")),
+            (build("T5"), path_graph(16)),
+        ]
+        # no two instances of one catalog share a degree sequence above order 6
+        for n in range(7, 13):
+            for theorem in TheoremId:
+                instances = [inst.graph for inst in instantiate_families(theorem, n)]
+                pairs += itertools.combinations(instances, 2)
+
+        def no_search(*args, **kwargs):
+            raise AssertionError("an isometry search was started")
+
+        monkeypatch.setattr(isomorphism, "isometries", no_search)
+        for g, h in pairs:
+            assert g.degree_sequence() != h.degree_sequence()
+            assert not are_isomorphic(g, h) and not are_isomorphic(h, g)
 
     def test_agrees_with_canonical_forms_on_every_labelled_graph_up_to_order_5(self):
         pairs = 0
@@ -194,15 +236,17 @@ class TestAreIsomorphic:
         assert g.degree_sequence() == h.degree_sequence()
         assert not are_isomorphic(g, h) and not are_isomorphic(h, g)
 
-    def test_equal_distance_profiles_are_told_apart(self):
+    def test_equal_distance_profiles_are_told_apart(self, monkeypatch):
         # every vertex of either graph has the same degree and distance
         # profile; only the backtrack itself can tell them apart
+        searches = counted_searches(monkeypatch)
         shrikhande, rook = shrikhande_and_rook()
         assert sorted(map(sorted, shortest_path_matrix(shrikhande))) == sorted(
             map(sorted, shortest_path_matrix(rook))
         )
         assert not are_isomorphic(shrikhande, rook)
         assert are_isomorphic(rook, relabel(rook, tuple(reversed(range(16)))))
+        assert searches == [2]
 
     def test_blown_up_twin_classes_cost_nothing(self):
         # each vertex replaced by an independent set of 3 twins: 48 vertices,
