@@ -180,11 +180,16 @@ def cmd_verify(args: argparse.Namespace) -> int:
                 raise UsageError(f"{args.graph6_file} has no graph of an order in --n {args.n}")
         else:
             check_enumeration_order(orders[-1])
+        theorem = None if args.target == "bound" else TheoremId(args.target)
+        if theorem is not None and orders[-1] < theorem.min_order:
+            raise UsageError(
+                f"{theorem.value} applies to orders >= {theorem.min_order}; "
+                f"--n {args.n} selects none"
+            )
         for n in orders:
-            if args.target == "bound":
+            if theorem is None:
                 results.append(check_bound(n, graphs=file_graphs, jobs=jobs))
                 continue
-            theorem = TheoremId(args.target)
             try:
                 results.append(
                     check_characterization(

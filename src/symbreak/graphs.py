@@ -228,40 +228,6 @@ def diameter(g: Graph) -> int:
     return int(max(max(row) for row in g._distance_matrix))
 
 
-def are_twins(g: Graph, u: int, v: int) -> bool:
-    """True when u and v have the same neighbours apart from one another.
-
-    Covers both the non-adjacent case (equal open neighbourhoods) and the
-    adjacent case (equal closed neighbourhoods) in a single bitmask test.
-    """
-    if u == v:
-        return True
-    return (g.adj[u] & ~(1 << v)) == (g.adj[v] & ~(1 << u))
-
-
-def twin_partition(g: Graph) -> list[list[int]]:
-    """Maximal classes of mutual twins, in order of their least vertex."""
-    return twin_classes_of_rows(g.adj)
-
-
-def twin_classes_of_rows(adj: Sequence[int]) -> list[list[int]]:
-    """:func:`twin_partition` of the simple graph with adjacency rows ``adj``.
-
-    Twins share either their open or their closed neighbourhood.  A vertex
-    has no open twin and closed twin at once, and no open neighbourhood
-    equals a closed one, so one pass keyed by both finds every class.
-    """
-    classes: list[list[int]] = []
-    by_key: dict[int, list[int]] = {}
-    for v, row in enumerate(adj):
-        cls = by_key.get(row) or by_key.get(row | 1 << v) or []
-        if not cls:
-            classes.append(cls)
-        cls.append(v)
-        by_key[row] = by_key[row | 1 << v] = cls
-    return classes
-
-
 # ---------------------------------------------------------------------------
 # Named families
 # ---------------------------------------------------------------------------

@@ -34,15 +34,9 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterator
 
-from .graphs import (
-    Graph,
-    OrderLimitError,
-    build_graph,
-    is_connected,
-    twin_classes_of_rows,
-)
+from .graphs import MAX_VERTICES, Graph, OrderLimitError, build_graph, is_connected
 from .symmetry import class_symmetries, isometries
-from .twins import twin_graph
+from .twins import twin_classes_of_rows, twin_graph
 
 CANONICAL_MAX_VERTICES = 10
 ENUMERATION_MAX_ORDER = 7
@@ -282,7 +276,7 @@ def parse_graph6(text: str) -> Graph:
             raise Graph6Error(f"byte {ord(ch)} out of the graph6 range 63..126")
     if line[0] == "~":
         if len(line) >= 2 and line[1] == "~":
-            raise Graph6Error("graph6 orders above 64 are not supported")
+            raise Graph6Error(f"graph6 orders above {MAX_VERTICES} are not supported")
         if len(line) < 4:
             raise Graph6Error("truncated graph6 long-form header")
         n = 0
@@ -292,8 +286,8 @@ def parse_graph6(text: str) -> Graph:
     else:
         n = ord(line[0]) - _G6_OFFSET
         body = line[1:]
-    if n > 64:
-        raise Graph6Error(f"graph6 order {n} exceeds the 64-vertex cap")
+    if n > MAX_VERTICES:
+        raise Graph6Error(f"graph6 order {n} exceeds the {MAX_VERTICES}-vertex cap")
     num_bits = n * (n - 1) // 2
     expected = (num_bits + 5) // 6
     if len(body) != expected:

@@ -22,7 +22,8 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
-from .graphs import DisconnectedError, Graph, is_connected, shortest_path_matrix, twin_partition
+from .graphs import DisconnectedError, Graph, is_connected, shortest_path_matrix
+from .twins import twin_classes
 
 
 @dataclass(frozen=True)
@@ -62,7 +63,7 @@ def metric_dimension(g: Graph) -> ResolvingWitness:
         raise DisconnectedError("metric dimension needs at least one vertex")
     if not is_connected(g):
         raise DisconnectedError("metric dimension is defined for connected graphs")
-    classes = twin_partition(g)
+    classes = twin_classes(g)
     forced = [v for cls in classes for v in cls[1:]]
     representatives = [cls[0] for cls in classes]
     dist = shortest_path_matrix(g)

@@ -39,7 +39,8 @@ from .twins import twin_graph
 #: Steps each symmetry search may take before it raises OrderLimitError:
 #: candidate images tried by ``isometries`` and color-set tuples tried by
 #: ``distinguishing_number`` over all k.  Benchmark inputs take at most 8,210
-#: and 1,740; tests 20,240 and 1,740, apart from C64's 512,064 images.
+#: and 1,740; tests 20,240 and 1,740, apart from C64's 512,064 images and
+#: the 599,583 that list the group of the coloring-refusal test's input.
 SEARCH_MAX_STEPS = 2_000_000
 
 
@@ -71,13 +72,13 @@ def isometries(
     """Pass every distance-preserving bijection from ``g`` onto ``h`` to ``visit``.
 
     On graphs these bijections are exactly the isomorphisms.  The search
-    backtracks over vertex images, filtering candidates by color, degree
-    and distance profile and forcing every assigned pair to preserve
-    distance.  With ``colors``, vertex ``v`` of ``g`` may only map to a
-    vertex ``w`` of ``h`` with ``h_colors[w] == colors[v]``; ``h_colors``
-    defaults to ``colors``.  ``visit`` gets the one-line image list, which
-    the search reuses (copy it to keep it), and stops the search by
-    returning True.  Returns True exactly when ``visit`` stopped the search.
+    backtracks over vertex images, filtering candidates by color and degree
+    and forcing every assigned pair to preserve distance.  With ``colors``,
+    vertex ``v`` of ``g`` may only map to a vertex ``w`` of ``h`` with
+    ``h_colors[w] == colors[v]``; ``h_colors`` defaults to ``colors``.
+    ``visit`` gets the one-line image list, which the search reuses (copy it
+    to keep it), and stops the search by returning True.  Returns True
+    exactly when ``visit`` stopped the search.
     """
     n = g.n
     if h.n != n:
@@ -86,8 +87,8 @@ def isometries(
     h_colors = colors if h_colors is None else h_colors
     dist_g = shortest_path_matrix(g)
     dist_h = shortest_path_matrix(h)
-    profile_g = [(colors[v], g.degree(v), tuple(sorted(dist_g[v]))) for v in range(n)]
-    profile_h = [(h_colors[w], h.degree(w), tuple(sorted(dist_h[w]))) for w in range(n)]
+    profile_g = [(colors[v], g.degree(v)) for v in range(n)]
+    profile_h = [(h_colors[w], h.degree(w)) for w in range(n)]
     if sorted(profile_g) != sorted(profile_h):
         return False
     candidates = [[w for w in range(n) if profile_h[w] == profile_g[v]] for v in range(n)]
@@ -219,7 +220,6 @@ def is_distinguishing(g: Graph, coloring: Coloring) -> bool:
     return _breaks_all(color_sets, symmetries.moved)
 
 
-@lru_cache(maxsize=65536)
 def distinguishing_number(g: Graph) -> int:
     """Least number of colors admitting a distinguishing coloring.
 

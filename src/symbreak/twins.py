@@ -12,11 +12,9 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
+from typing import Sequence
 
-from .graphs import Graph, build_graph, complement, is_connected, twin_partition
-
-#: Maximal classes of mutual twins, in order of their least vertex.
-twin_classes = twin_partition
+from .graphs import Graph, build_graph, complement, is_connected
 
 TYPE_SINGLETON = "1"
 TYPE_CLIQUE = "K"
@@ -45,10 +43,44 @@ class TwinStructure:
         return tuple((len(cls), kind) for cls, kind in zip(self.classes, self.types))
 
 
+def are_twins(g: Graph, u: int, v: int) -> bool:
+    """True when u and v have the same neighbours apart from one another.
+
+    Covers both the non-adjacent case (equal open neighbourhoods) and the
+    adjacent case (equal closed neighbourhoods) in a single bitmask test.
+    """
+    if u == v:
+        return True
+    return (g.adj[u] & ~(1 << v)) == (g.adj[v] & ~(1 << u))
+
+
+def twin_classes(g: Graph) -> list[list[int]]:
+    """Maximal classes of mutual twins, in order of their least vertex."""
+    return twin_classes_of_rows(g.adj)
+
+
+def twin_classes_of_rows(adj: Sequence[int]) -> list[list[int]]:
+    """:func:`twin_classes` of the simple graph with adjacency rows ``adj``.
+
+    Twins share either their open or their closed neighbourhood.  A vertex
+    has no open twin and closed twin at once, and no open neighbourhood
+    equals a closed one, so one pass keyed by both finds every class.
+    """
+    classes: list[list[int]] = []
+    by_key: dict[int, list[int]] = {}
+    for v, row in enumerate(adj):
+        cls = by_key.get(row) or by_key.get(row | 1 << v) or []
+        if not cls:
+            classes.append(cls)
+        cls.append(v)
+        by_key[row] = by_key[row | 1 << v] = cls
+    return classes
+
+
 @lru_cache(maxsize=65536)
 def twin_graph(g: Graph) -> TwinStructure:
     """Contract every twin class to one vertex and record the class types."""
-    classes = [tuple(cls) for cls in twin_partition(g)]
+    classes = [tuple(cls) for cls in twin_classes(g)]
     types = []
     for cls in classes:
         if len(cls) == 1:
@@ -57,10 +89,13 @@ def twin_graph(g: Graph) -> TwinStructure:
             types.append(TYPE_CLIQUE)
         else:
             types.append(TYPE_INDEPENDENT)
-    # twin classes are modules, so any members tell whether two classes are adjacent
-    pairs = itertools.combinations(range(len(classes)), 2)
-    edges = [(a, b) for a, b in pairs if g.has_edge(classes[a][0], classes[b][0])]
-    quotient = build_graph(len(classes), edges)
+    if len(classes) == g.n:  # all singletons, in vertex order, so g is its own quotient
+        quotient = g
+    else:
+        # twin classes are modules, so any members tell whether two classes are adjacent
+        pairs = itertools.combinations(range(len(classes)), 2)
+        edges = [(a, b) for a, b in pairs if g.has_edge(classes[a][0], classes[b][0])]
+        quotient = build_graph(len(classes), edges)
     alpha = sum(1 for t in types if t != TYPE_SINGLETON)
     return TwinStructure(tuple(classes), tuple(types), quotient, alpha)
 

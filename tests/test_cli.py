@@ -190,6 +190,15 @@ class TestVerify:
         assert reports[0]["verdict"] == "NOT_APPLICABLE"
         assert reports[1]["verdict"] == "PASS"
 
+    @pytest.mark.parametrize(
+        ("target", "orders", "first"), [("Dn2", "1..3", 4), ("Dn3", "4", 5), ("Dn3", "1..4", 5)]
+    )
+    def test_orders_below_the_catalog_exit_2(self, capsys, target, orders, first):
+        # every order would print NOT_APPLICABLE, so the run would check nothing and pass
+        code, out, err = run_cli(capsys, "verify", target, "--n", orders)
+        assert code == 2 and out == ""
+        assert f"{target} applies to orders >= {first}; --n {orders} selects none" in err
+
     def test_missing_n_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "verify", "bound")
         assert code == 2

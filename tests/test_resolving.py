@@ -20,7 +20,7 @@ from symbreak import (
     metric_dimension,
     path_graph,
 )
-from symbreak.graphs import twin_partition
+from symbreak.twins import twin_classes
 
 from conftest import graphs
 from oracles import naive_metric_dimension, tree_metric_dimension
@@ -92,7 +92,7 @@ class TestPrunedSearchAgainstNaive:
     def test_witness_respects_twin_classes(self):
         for g in enumerate_graphs(5, connected_only=True):
             witness = set(metric_dimension(g).witness)
-            for cls in twin_partition(g):
+            for cls in twin_classes(g):
                 assert len(set(cls) - witness) <= 1
 
 

@@ -271,24 +271,30 @@ class TestClassSymmetries:
 
 class TestSearchBudget:
     """Each search answers with exactly the steps it needs, and one step less
-    refuses: C20's group takes 14,820 candidate images, and U(C5,C5) takes
-    1,740 color-set assignments over k = 2 and 3."""
+    refuses: C20's group takes 14,820 candidate images and P64's 7,694, and
+    U(C5,C5) takes 1,740 color-set assignments over k = 2 and 3."""
 
-    def test_isometry_budget(self, monkeypatch):
-        monkeypatch.setattr(symmetry, "SEARCH_MAX_STEPS", 14_820)
-        assert len(class_symmetries.__wrapped__(cycle_graph(20)).moved) == 39
-        monkeypatch.setattr(symmetry, "SEARCH_MAX_STEPS", 14_819)
-        with pytest.raises(OrderLimitError, match="isometry search over its 14,819-step budget"):
-            class_symmetries.__wrapped__(cycle_graph(20))
+    @pytest.mark.parametrize(
+        ("g", "steps", "moved"),
+        [(cycle_graph(20), 14_820, 39), (path_graph(64), 7_694, 1)],
+        ids=["C20", "P64"],
+    )
+    def test_isometry_budget(self, monkeypatch, g, steps, moved):
+        monkeypatch.setattr(symmetry, "SEARCH_MAX_STEPS", steps)
+        assert len(class_symmetries.__wrapped__(g).moved) == moved
+        monkeypatch.setattr(symmetry, "SEARCH_MAX_STEPS", steps - 1)
+        message = f"isometry search over its {steps - 1:,}-step budget"
+        with pytest.raises(OrderLimitError, match=message):
+            class_symmetries.__wrapped__(g)
 
     def test_coloring_budget(self, monkeypatch):
         g = disjoint_union(cycle_graph(5), cycle_graph(5))
         class_symmetries(g)  # listed under the full budget; only the coloring search is bounded
         monkeypatch.setattr(symmetry, "SEARCH_MAX_STEPS", 1_740)
-        assert distinguishing_number.__wrapped__(g) == 3
+        assert distinguishing_number(g) == 3
         monkeypatch.setattr(symmetry, "SEARCH_MAX_STEPS", 1_739)
         with pytest.raises(OrderLimitError, match="coloring search over its 1,739-step budget"):
-            distinguishing_number.__wrapped__(g)
+            distinguishing_number(g)
 
 
 class TestOrder7Invariants:
