@@ -312,7 +312,7 @@ def main(argv: list[str] | None = None) -> int:
         # the signal docs' SIGPIPE recipe: the flush at exit goes to devnull
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return EXIT_BROKEN_PIPE
-    except (OrderLimitError, TheoremNotApplicableError) as err:
+    except OrderLimitError as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_BOUNDS
     except (ExpressionError, Graph6Error, UsageError, GraphError, OSError) as err:

@@ -6,14 +6,15 @@ Two graphs are isomorphic exactly when their canonical forms coincide.
 
 Canonicalisation of a single graph places vertices one position at a time
 and keeps the unplaced ones as an ordered list of cells, each homogeneous
-towards every placed vertex (the refinement of McKay and Piperno, cut down
-to this one form).  In the minimal string the unplaced positions are sorted
-by their adjacency to the placed prefix, so the next position holds a
-vertex of the first cell, and that vertex's row, its non-neighbours then
-its neighbours within each cell, is fixed by its neighbour count per cell.
-Only first-cell vertices with the least row branch, one per twin class, and
-a branch stops as soon as its exact prefix exceeds the best string's.  The
-search is exact for every order up to :data:`CANONICAL_MAX_VERTICES`.
+towards every placed vertex (McKay and Piperno's refinement, by the same
+``symmetry.split_cells`` as the isomorphism search).  In the minimal string
+the unplaced positions are sorted by their adjacency to the placed prefix,
+so the next position holds a vertex of the first cell, and that vertex's
+row, its non-neighbours then its neighbours within each cell, is fixed by
+its neighbour count per cell.  Only first-cell vertices with the least row
+branch, one per twin class, and a branch stops as soon as its exact prefix
+exceeds the best string's.  The search is exact for every order up to
+:data:`CANONICAL_MAX_VERTICES`.
 
 Exhaustive enumeration works at orders up to :data:`ENUMERATION_MAX_ORDER`
 by one-vertex augmentation: every representative of order ``n - 1`` gets a
@@ -35,7 +36,7 @@ from functools import lru_cache
 from typing import Iterator
 
 from .graphs import MAX_VERTICES, Graph, OrderLimitError, build_graph, is_connected
-from .symmetry import class_symmetries, isometries
+from .symmetry import class_symmetries, isometries, split_cells
 from .twins import twin_classes_of_rows, twin_graph
 
 CANONICAL_MAX_VERTICES = 10
@@ -115,15 +116,7 @@ def _min_row_major_value(adj: tuple[int, ...]) -> int:
             best = min(best, prefix)
             return
         for v in chosen:
-            refined = []
-            for cell in cells:
-                cell &= ~(1 << v)
-                outside, inside = cell & ~adj[v], cell & adj[v]
-                if outside:
-                    refined.append(outside)
-                if inside:
-                    refined.append(inside)
-            search(refined, prefix, m)
+            search(split_cells(cells, adj, v), prefix, m)
 
     search([(1 << n) - 1], 0, n)
     return best

@@ -15,7 +15,8 @@ isomorphic exactly when some isomorphism of their twin graphs keeps every
 label, which is how :func:`symbreak.isomorphism.are_isomorphic` decides
 it.  Only that labelled group is listed, never Aut(G) itself, and it is
 sorted by support size so that a non-distinguishing coloring is usually
-refuted by one of its first few elements.
+refuted by one of its first few elements.  Both run :func:`isometries`,
+whose ordered cells :func:`split_cells` refines as in the canonical search.
 """
 
 from __future__ import annotations
@@ -30,17 +31,17 @@ from .graphs import (
     Graph,
     GraphError,
     OrderLimitError,
+    _bits,
     is_connected,
-    shortest_path_matrix,
 )
 from .resolving import is_resolving
 from .twins import twin_graph
 
 #: Steps each symmetry search may take before it raises OrderLimitError:
-#: candidate images tried by ``isometries`` and color-set tuples tried by
-#: ``distinguishing_number`` over all k.  Benchmark inputs take at most 8,210
-#: and 1,740; tests 20,240 and 1,740, apart from C64's 512,064 images and
-#: the 599,583 that list the group of the coloring-refusal test's input.
+#: images tried by ``isometries``, plus ``n`` per bijection it visits, and
+#: color-set tuples tried by ``distinguishing_number`` over all k.  Benchmark
+#: inputs take at most 2,990 and 1,740; tests 16,320 (C64) and 1,740, apart
+#: from the 279,998 that list the group of the coloring-refusal test's input.
 SEARCH_MAX_STEPS = 2_000_000
 
 
@@ -62,6 +63,19 @@ class Coloring:
             raise GraphError("vertex colors must lie in 1..k")
 
 
+def split_cells(cells: Sequence[int], adj: Sequence[int], v: int) -> list[int]:
+    """Take ``v`` out of the ordered vertex-mask ``cells`` and split each cell
+    into ``v``'s non-neighbours, then its neighbours, dropping empty parts."""
+    refined = []
+    for cell in cells:
+        outside, inside = cell & ~(adj[v] | 1 << v), cell & adj[v]
+        if outside:
+            refined.append(outside)
+        if inside:
+            refined.append(inside)
+    return refined
+
+
 def isometries(
     g: Graph,
     h: Graph,
@@ -69,56 +83,53 @@ def isometries(
     colors: Sequence[Hashable] | None = None,
     h_colors: Sequence[Hashable] | None = None,
 ) -> bool:
-    """Pass every distance-preserving bijection from ``g`` onto ``h`` to ``visit``.
+    """Pass every isomorphism from ``g`` onto ``h`` to ``visit``.
 
-    On graphs these bijections are exactly the isomorphisms.  The search
-    backtracks over vertex images, filtering candidates by color and degree
-    and forcing every assigned pair to preserve distance.  With ``colors``,
-    vertex ``v`` of ``g`` may only map to a vertex ``w`` of ``h`` with
-    ``h_colors[w] == colors[v]``; ``h_colors`` defaults to ``colors``.
-    ``visit`` gets the one-line image list, which the search reuses (copy it
-    to keep it), and stops the search by returning True.  Returns True
-    exactly when ``visit`` stopped the search.
+    Both sides keep their unplaced vertices as paired ordered cells, first
+    grouped by color (``h_colors`` on ``h``, by default ``colors``) and
+    degree.  The lowest vertex ``v`` of the smallest ``g`` cell goes to each
+    ``w`` of the paired cell with ``v``'s neighbour count in every cell
+    pair; :func:`split_cells` then splits both sides.  ``visit`` gets the
+    image list, which the search reuses (copy it to keep it), and returning
+    True from it stops the search and makes this return True.  A step is an
+    image tried, or ``n`` per visit.
     """
     n = g.n
     if h.n != n:
         return False
     colors = [0] * n if colors is None else colors
     h_colors = colors if h_colors is None else h_colors
-    dist_g = shortest_path_matrix(g)
-    dist_h = shortest_path_matrix(h)
-    profile_g = [(colors[v], g.degree(v)) for v in range(n)]
-    profile_h = [(h_colors[w], h.degree(w)) for w in range(n)]
-    if sorted(profile_g) != sorted(profile_h):
+    keys = sorted({(colors[v], g.degree(v)) for v in range(n)})
+    g_cells = [sum(1 << v for v in range(n) if (colors[v], g.degree(v)) == key) for key in keys]
+    h_cells = [sum(1 << w for w in range(n) if (h_colors[w], h.degree(w)) == key) for key in keys]
+    if [cell.bit_count() for cell in g_cells] != [cell.bit_count() for cell in h_cells]:
         return False
-    candidates = [[w for w in range(n) if profile_h[w] == profile_g[v]] for v in range(n)]
-    order = sorted(range(n), key=lambda v: (len(candidates[v]), v))
     image = [-1] * n
-    used = [False] * n
     steps = 0
 
-    def extend(i: int) -> bool | None:
+    def charge(cost: int) -> None:
         nonlocal steps
-        if i == n:
+        steps += cost
+        if steps > SEARCH_MAX_STEPS:
+            raise OrderLimitError(f"isometry search over its {SEARCH_MAX_STEPS:,}-step budget")
+
+    def extend(g_cells: list[int], h_cells: list[int]) -> bool | None:
+        if not g_cells:
+            charge(n)
             return visit(image)
-        v = order[i]
-        row_v = dist_g[v]
-        for w in candidates[v]:
-            steps += 1
-            if steps > SEARCH_MAX_STEPS:
-                raise OrderLimitError(f"isometry search over its {SEARCH_MAX_STEPS:,}-step budget")
-            if used[w]:
-                continue
-            if all(row_v[u] == dist_h[w][image[u]] for u in order[:i]):
+        sizes = [cell.bit_count() for cell in g_cells]
+        i = sizes.index(min(sizes))
+        v = (g_cells[i] & -g_cells[i]).bit_length() - 1
+        counts = [(g.adj[v] & cell).bit_count() for cell in g_cells]
+        for w in _bits(h_cells[i]):
+            charge(1)
+            if [(h.adj[w] & cell).bit_count() for cell in h_cells] == counts:
                 image[v] = w
-                used[w] = True
-                if extend(i + 1):
+                if extend(split_cells(g_cells, g.adj, v), split_cells(h_cells, h.adj, w)):
                     return True
-                used[w] = False
-                image[v] = -1
         return False
 
-    return bool(extend(0))
+    return bool(extend(g_cells, h_cells))
 
 
 class ClassSymmetries(NamedTuple):
@@ -138,12 +149,8 @@ class ClassSymmetries(NamedTuple):
 def class_symmetries(g: Graph) -> ClassSymmetries:
     """List the label-preserving automorphisms of the twin graph of ``g``.
 
-    A class is labelled by its size and type, and the labels prune the
-    backtrack itself.
-
     Raises:
-        OrderLimitError: when listing the group tries more than
-            ``SEARCH_MAX_STEPS`` candidate images.
+        OrderLimitError: when listing the group takes over ``SEARCH_MAX_STEPS`` steps.
     """
     structure = twin_graph(g)
     moved: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
