@@ -28,7 +28,6 @@ matching costs about one comparison per instance.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, NamedTuple
 
@@ -97,8 +96,7 @@ class FamilyMatch(NamedTuple):
         return payload
 
 
-@dataclass(frozen=True)
-class FamilyInstance:
+class FamilyInstance(NamedTuple):
     """One concrete catalog graph with every alias that produced it."""
 
     graph: Graph
@@ -132,8 +130,7 @@ def _const(spec: FamilySpec) -> Callable[[int], FamilySpec]:
     return lambda _t: spec
 
 
-@dataclass(frozen=True)
-class _Theorem:
+class _Theorem(NamedTuple):
     offset: int
     min_order: int
     entries: tuple[FamilyEntry, ...]
@@ -322,8 +319,7 @@ def in_family_f(g: Graph) -> bool:
     return not 5 <= twin_graph(core).quotient.n <= 9
 
 
-@dataclass(frozen=True)
-class ClassificationReport:
+class ClassificationReport(NamedTuple):
     """Everything the analyzer reports about a single graph."""
 
     graph6: str

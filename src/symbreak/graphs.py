@@ -10,7 +10,6 @@ package verifies exhaustively lives far below that.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property, reduce
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -40,33 +39,38 @@ def _bits(mask: int) -> Iterator[int]:
         mask ^= low
 
 
-@dataclass(frozen=True)
-class Graph:
-    """A simple undirected graph with one adjacency bitmask per vertex.
-
-    Instances are immutable and hashable, so they are safe to share across
-    workers and to use as cache keys.  The constructor validates symmetry
-    and irreflexivity; use :func:`build_graph` to create graphs from edge
-    lists.
-    """
-
+class _GraphFields(NamedTuple):
     n: int
     adj: tuple[int, ...]
 
-    def __post_init__(self) -> None:
-        _check_order(self.n)
-        if len(self.adj) != self.n:
+
+class Graph(_GraphFields):
+    """A simple undirected graph with one adjacency bitmask per vertex.
+
+    Instances are immutable and hashable, so they are safe to share across
+    workers and to use as cache keys.  A graph is a tuple subclass, so
+    ``len(g) == 2`` and ``g == (n, adj)``; it keeps a ``__dict__`` for its
+    cached properties.  The constructor validates symmetry and
+    irreflexivity; use :func:`build_graph` to create graphs from edge lists.
+    """
+
+    def __new__(cls, n: int, adj: tuple[int, ...]) -> Graph:
+        _check_order(n)
+        if len(adj) != n:
             raise GraphError("number of adjacency rows does not match the order")
-        full = (1 << self.n) - 1
-        for v, row in enumerate(self.adj):
+        full = (1 << n) - 1
+        for v, row in enumerate(adj):
             if row & ~full:
-                raise GraphError(f"row {v} mentions vertices outside 0..{self.n - 1}")
+                raise GraphError(f"row {v} mentions vertices outside 0..{n - 1}")
             if row >> v & 1:
                 raise GraphError(f"self-loop at vertex {v}")
-        for v in range(self.n):
-            for u in _bits(self.adj[v]):
-                if not self.adj[u] >> v & 1:
-                    raise GraphError(f"edge {v}-{u} is not symmetric")
+        for v, row in enumerate(adj):
+            while row:
+                low = row & -row
+                if not adj[low.bit_length() - 1] >> v & 1:
+                    raise GraphError(f"edge {v}-{low.bit_length() - 1} is not symmetric")
+                row ^= low
+        return tuple.__new__(cls, (n, adj))
 
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
@@ -236,8 +240,14 @@ def diameter(g: Graph) -> int:
 _COMBINATORS = ("complement", "union", "join", "blow_up")
 
 
-@dataclass(frozen=True)
-class FamilySpec:
+class _FamilySpecFields(NamedTuple):
+    kind: str
+    params: tuple[int, ...]
+    parts: tuple[FamilySpec, ...]
+    pieces: tuple[tuple[int, str], ...]
+
+
+class FamilySpec(_FamilySpecFields):
     """A recursive description of a named graph family instance.
 
     A leaf kind is a key of :data:`LEAF_KINDS` and carries the integer
@@ -248,14 +258,12 @@ class FamilySpec:
     these trees, so no family needs bespoke construction code.
     """
 
-    kind: str
-    params: tuple[int, ...] = ()
-    parts: tuple["FamilySpec", ...] = ()
-    pieces: tuple[tuple[int, str], ...] = ()
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in LEAF_KINDS and self.kind not in _COMBINATORS:
-            raise GraphError(f"unknown family kind {self.kind!r}")
+    def __new__(cls, kind: str, params=(), parts=(), pieces=()) -> FamilySpec:
+        if kind not in LEAF_KINDS and kind not in _COMBINATORS:
+            raise GraphError(f"unknown family kind {kind!r}")
+        return tuple.__new__(cls, (kind, params, parts, pieces))
 
 
 def path_graph(n: int) -> Graph:

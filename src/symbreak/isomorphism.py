@@ -31,9 +31,8 @@ enter through graph6 files.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterator
+from typing import Iterator, NamedTuple
 
 from .graphs import MAX_VERTICES, Graph, OrderLimitError, build_graph, is_connected
 from .symmetry import class_symmetries, isometries, split_cells
@@ -52,8 +51,7 @@ class Graph6Error(ValueError):
     """Malformed graph6 text."""
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(NamedTuple):
     """Packed row-major upper-triangle bits of the minimal relabeling.
 
     ``value`` holds the bits as an integer whose most significant bit is

@@ -18,16 +18,14 @@ unresolved.  The result equals the unpruned minimum.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, NamedTuple
 
 from .graphs import DisconnectedError, Graph, is_connected, shortest_path_matrix
 from .twins import twin_classes
 
 
-@dataclass(frozen=True)
-class ResolvingWitness:
+class ResolvingWitness(NamedTuple):
     """A minimum resolving set together with its size."""
 
     dim: int

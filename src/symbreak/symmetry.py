@@ -22,7 +22,6 @@ whose ordered cells :func:`split_cells` refines as in the canonical search.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
 
@@ -49,18 +48,22 @@ class NotResolvingError(GraphError):
     """The supplied vertex set does not resolve the graph."""
 
 
-@dataclass(frozen=True)
-class Coloring:
-    """A vertex coloring with colors 1..k; surjectivity is not required."""
-
+class _ColoringFields(NamedTuple):
     colors: tuple[int, ...]
     k: int
 
-    def __post_init__(self) -> None:
-        if self.k < 1:
+
+class Coloring(_ColoringFields):
+    """A vertex coloring with colors 1..k; surjectivity is not required."""
+
+    __slots__ = ()
+
+    def __new__(cls, colors: tuple[int, ...], k: int) -> Coloring:
+        if k < 1:
             raise GraphError("colorings need at least one color")
-        if any(not 1 <= c <= self.k for c in self.colors):
+        if any(not 1 <= c <= k for c in colors):
             raise GraphError("vertex colors must lie in 1..k")
+        return tuple.__new__(cls, (colors, k))
 
 
 def split_cells(cells: Sequence[int], adj: Sequence[int], v: int) -> list[int]:

@@ -10,9 +10,8 @@ their members are.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Sequence
+from typing import NamedTuple, Sequence
 
 from .graphs import Graph, build_graph, complement, is_connected
 
@@ -21,8 +20,7 @@ TYPE_CLIQUE = "K"
 TYPE_INDEPENDENT = "N"
 
 
-@dataclass(frozen=True)
-class TwinStructure:
+class TwinStructure(NamedTuple):
     """Twin classes with their types, the quotient graph, and alpha.
 
     ``alpha`` counts the classes of type "K" or "N", that is, the classes

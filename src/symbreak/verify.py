@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import os
 import time
-from dataclasses import dataclass, field
+from typing import NamedTuple
 
 from .catalog import (
     TheoremId,
@@ -25,8 +25,7 @@ from .resolving import metric_dimension
 from .symmetry import coloring_from_resolving_set, distinguishing_number, is_distinguishing
 
 
-@dataclass(frozen=True)
-class Mismatch:
+class Mismatch(NamedTuple):
     graph6: str
     expected: str
     actual: str
@@ -35,17 +34,17 @@ class Mismatch:
         return {"graph6": self.graph6, "expected": self.expected, "actual": self.actual}
 
 
-@dataclass
 class VerifyReport:
     """Outcome of one verification run; PASS exactly when no mismatches."""
 
-    check: str
-    order: int | None
-    scanned: int
-    matched: int
-    mismatches: list[Mismatch] = field(default_factory=list)
-    excluded: list[str] = field(default_factory=list)
-    elapsed: float = 0.0
+    def __init__(self, check: str, order: int | None, scanned: int, matched: int) -> None:
+        self.check = check
+        self.order = order
+        self.scanned = scanned
+        self.matched = matched
+        self.mismatches: list[Mismatch] = []
+        self.excluded: list[str] = []
+        self.elapsed = 0.0
 
     @property
     def passed(self) -> bool:

@@ -478,6 +478,22 @@ def test_cli_import_leaves_multiprocessing_out():
     assert result.stdout == "False\n"
 
 
+def test_cli_import_leaves_dataclasses_and_inspect_out():
+    # start-up cost: dataclasses pulls in inspect, dis, ast and tokenize;
+    # run in a child because pytest itself imports dataclasses
+    heavy = ("dataclasses", "inspect", "multiprocessing")
+    code = f"import sys, symbreak.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    result = subprocess.run(
+        [sys.executable, "-c", code],
+        capture_output=True,
+        text=True,
+        env=child_env(),
+        timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "[]\n"
+
+
 def test_closed_stdout_exits_141_silently():
     # order 7 in JSON is about 97 KB, more than a 64 KB pipe holds, so the
     # command is still writing when the reader goes away after one byte

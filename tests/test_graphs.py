@@ -1,6 +1,7 @@
 """Graph construction, algebra, families, and distances."""
 
 import math
+import pickle
 import time
 
 import pytest
@@ -30,6 +31,8 @@ from symbreak import (
     shortest_path_matrix,
 )
 from symbreak.graphs import DisconnectedError
+from symbreak.isomorphism import canonical_form
+from symbreak.symmetry import Coloring
 
 from conftest import graphs
 
@@ -68,6 +71,69 @@ class TestBuildGraph:
     def test_rejects_asymmetric_rows(self):
         with pytest.raises(GraphError):
             Graph(2, (0b10, 0b00))
+
+
+class TestValueObjects:
+    """Graph, FamilySpec, Coloring and CanonicalForm are immutable, hashable
+    and picklable tuples; the validated ones reject bad input by name."""
+
+    VALUES = [
+        (lambda: build_graph(3, [(0, 1), (1, 2)]), "n", 4),
+        (lambda: FamilySpec("union", parts=(FamilySpec("complete", (2,)),)), "kind", "join"),
+        (lambda: Coloring((1, 2, 1), 2), "k", 3),
+        (lambda: canonical_form(path_graph(4)), "value", 0),
+    ]
+
+    @pytest.mark.parametrize("make, field, other", VALUES)
+    def test_fields_cannot_be_assigned(self, make, field, other):
+        value = make()
+        with pytest.raises(AttributeError):
+            setattr(value, field, other)
+        assert value == make()
+
+    @pytest.mark.parametrize("make, field, other", VALUES)
+    def test_equal_values_hash_equally(self, make, field, other):
+        first, second = make(), make()
+        assert first is not second
+        assert first == second and hash(first) == hash(second)
+        assert len({first, second}) == 1
+
+    @pytest.mark.parametrize("make, field, other", VALUES)
+    def test_pickle_round_trip(self, make, field, other):
+        value = make()
+        copy = pickle.loads(pickle.dumps(value))
+        assert copy == value and type(copy) is type(value)
+
+    def test_pickle_keeps_a_cached_degree_sequence(self):
+        g = cycle_graph(5)
+        assert g.degree_sequence() == (2, 2, 2, 2, 2)
+        copy = pickle.loads(pickle.dumps(g))
+        assert copy == g and copy.adj == g.adj
+        assert copy.degree_sequence() == (2, 2, 2, 2, 2)
+        assert vars(copy) == vars(g)
+
+    def test_a_graph_is_the_tuple_of_its_order_and_rows(self):
+        g = build_graph(2, [(0, 1)])
+        assert len(g) == 2 and g == (2, (0b10, 0b01))
+
+    @pytest.mark.parametrize(
+        "make, message",
+        [
+            (lambda: Graph(65, (0,) * 65), "order must be between 0 and 64, got 65"),
+            (lambda: Graph(2, (0b10,)), "number of adjacency rows does not match the order"),
+            (lambda: Graph(2, (0b100, 0)), "row 0 mentions vertices outside 0..1"),
+            (lambda: Graph(2, (0, 0b10)), "self-loop at vertex 1"),
+            (lambda: Graph(3, (0b110, 0b001, 0b000)), "edge 0-2 is not symmetric"),
+            (lambda: Graph(3, (0b000, 0b100, 0b000)), "edge 1-2 is not symmetric"),
+            (lambda: FamilySpec("wheel", (5,)), "unknown family kind 'wheel'"),
+            (lambda: Coloring((1, 1), 0), "colorings need at least one color"),
+            (lambda: Coloring((1, 3), 2), "vertex colors must lie in 1..k"),
+        ],
+    )
+    def test_invalid_input_messages(self, make, message):
+        with pytest.raises(GraphError) as err:
+            make()
+        assert str(err.value) == message
 
 
 class TestAlgebra:
