@@ -14,15 +14,15 @@ graphs the exhaustive scans find with the catalog's value but in no printed
 row; they sit in a separate table, are numbered after the paper's rows, and
 every match they produce is flagged ``erratum``.
 
-Instantiation reads off each row's spec the member, if any, of a requested
-order, builds only that member, keeps one representative per isomorphism
-class, and records all (entry, parameter) aliases that produced it.
-Membership questions are answered by isomorphism against these concrete
-instances (:func:`family_matches`) at every order, so there is a single
-matching mechanism and no per-family recognition code.  Two instances of one
-catalog share a degree sequence only in three pairs of ``Dn3`` at orders 5
-and 6, and unequal degree sequences are told apart without a search, so
-matching costs about one comparison per instance.
+Each row's member of a requested order, if any, and its degrees
+(:func:`family_degrees`) are read off the row's spec.  Instantiation builds
+every member, keeps one representative per isomorphism class, and records
+all (entry, parameter) aliases that produced it; the verification scans test
+graphs against these instances.  :func:`family_matches` builds only the
+members with the graph's degree sequence and tests them by isomorphism, the
+one matching mechanism at every order.  Members of one catalog with equal
+degree sequences are isomorphic except in three pairs of ``Dn3`` at orders
+5 and 6, so a graph in no row usually builds no member.
 """
 
 from __future__ import annotations
@@ -40,6 +40,7 @@ from .graphs import (
     build_graph,
     construct_family,
     diameter,
+    family_degrees,
     family_order,
     is_connected,
 )
@@ -252,26 +253,17 @@ ERRATA: dict[TheoremId, tuple[FamilyEntry, ...]] = {
 }
 
 
-@lru_cache(maxsize=None)
-def instantiate_families(theorem: TheoremId, n: int) -> tuple[FamilyInstance, ...]:
-    """All catalog graphs of order exactly ``n``, deduplicated.
-
-    Every (entry, parameter) assignment reaching order ``n`` is generated,
-    from the paper's rows and then from the rows of :data:`ERRATA`;
-    isomorphic outcomes are merged, keeping all aliases.  Instances come in
-    the order of their first alias.  Every row grows by one vertex per unit
-    of its parameter, so :func:`family_order` of a row's first member gives
-    the parameter of its order-``n`` member, and only that member is built.
-
-    Raises:
-        TheoremNotApplicableError: below the catalog's minimum order.
-    """
+def _members(theorem: TheoremId, n: int):
+    """Yield ``(entry, erratum, t, spec, family_degrees(spec))`` for each row
+    with a member of order ``n``, the paper's rows first, then ERRATA's.
+    Every row grows by one vertex per unit of ``t``, so the order of its
+    first member gives ``t``; raises :class:`TheoremNotApplicableError`
+    below the catalog's minimum order."""
     spec = _THEOREMS[theorem]
     if n < spec.min_order:
         raise TheoremNotApplicableError(
             f"{theorem.value} applies to orders >= {spec.min_order}, got {n}"
         )
-    found: list[tuple[Graph, list[FamilyMatch]]] = []
     rows = [(entry, False) for entry in spec.entries]
     rows += [(entry, True) for entry in ERRATA.get(theorem, ())]
     for entry, erratum in rows:
@@ -281,8 +273,24 @@ def instantiate_families(theorem: TheoremId, n: int) -> tuple[FamilyInstance, ..
             if t < entry.t_min:
                 continue
         family = entry.make(0 if t is None else t)
-        if family_order(family) != n:
-            continue
+        degrees = family_degrees(family)
+        if len(degrees) == n:
+            yield entry, erratum, t, family, degrees
+
+
+@lru_cache(maxsize=None)
+def instantiate_families(theorem: TheoremId, n: int) -> tuple[FamilyInstance, ...]:
+    """All catalog graphs of order exactly ``n``, deduplicated.
+
+    Every row's member of order ``n`` is built, the paper's rows first and
+    then those of :data:`ERRATA`; isomorphic members are merged, keeping
+    all aliases.  Instances come in the order of their first alias.
+
+    Raises:
+        TheoremNotApplicableError: below the catalog's minimum order.
+    """
+    found: list[tuple[Graph, list[FamilyMatch]]] = []
+    for entry, erratum, t, family, _ in _members(theorem, n):
         graph = construct_family(family)
         match = FamilyMatch(theorem, entry.index, t, format_spec(family), erratum)
         for known, matches in found:
@@ -295,12 +303,16 @@ def instantiate_families(theorem: TheoremId, n: int) -> tuple[FamilyInstance, ..
 
 
 def family_matches(theorem: TheoremId, g: Graph) -> tuple[FamilyMatch, ...]:
-    """Every alias of the catalog graph isomorphic to ``g``, or none; raises
+    """The match of every row whose member is isomorphic to ``g``, in row
+    order: the aliases of ``g``'s instance, or none.  Only the members with
+    ``g``'s degree sequence are built; raises
     :class:`TheoremNotApplicableError` below the catalog's minimum order."""
-    for instance in instantiate_families(theorem, g.n):
-        if are_isomorphic(instance.graph, g):
-            return instance.matches
-    return ()
+    sequence = g.degree_sequence()
+    return tuple(
+        FamilyMatch(theorem, entry.index, t, format_spec(family), erratum)
+        for entry, erratum, t, family, degrees in _members(theorem, g.n)
+        if tuple(sorted(degrees)) == sequence and are_isomorphic(construct_family(family), g)
+    )
 
 
 def in_family_f(g: Graph) -> bool:

@@ -72,6 +72,10 @@ class Graph(_GraphFields):
                 row ^= low
         return tuple.__new__(cls, (n, adj))
 
+    def __reduce__(self):
+        # unpickling rebuilds the tuple without repeating the checks above
+        return (tuple.__new__, (Graph, (self.n, self.adj)), vars(self) or None)
+
     def has_edge(self, u: int, v: int) -> bool:
         return bool(self.adj[u] >> v & 1)
 
@@ -95,6 +99,20 @@ class Graph(_GraphFields):
     @cached_property
     def _degree_sequence(self) -> tuple[int, ...]:
         return tuple(sorted(row.bit_count() for row in self.adj))
+
+    @cached_property
+    def _connected(self) -> bool:
+        # one flood fill from vertex 0, cached since the solvers each ask again
+        if self.n <= 1:
+            return True
+        seen = frontier = 1
+        while frontier:
+            reach = 0
+            for v in _bits(frontier):
+                reach |= self.adj[v]
+            frontier = reach & ~seen
+            seen |= frontier
+        return seen == (1 << self.n) - 1
 
     @cached_property
     def _distance_matrix(self) -> tuple[tuple[float, ...], ...]:
@@ -218,9 +236,7 @@ def shortest_path_matrix(g: Graph) -> tuple[tuple[float, ...], ...]:
 
 
 def is_connected(g: Graph) -> bool:
-    if g.n <= 1:
-        return True
-    return INFINITY not in g._distance_matrix[0]
+    return g._connected
 
 
 def diameter(g: Graph) -> int:
@@ -333,44 +349,71 @@ def bull_graph() -> Graph:
 
 
 class LeafKind(NamedTuple):
-    """How one leaf family kind is built, how it is written, and its order.
+    """How one leaf family kind is built, how it is written, and its degrees.
 
     In the expression language ``name`` is followed by ``arity`` integer
     parameters: none (``bull``), one (``K5``), or at arity 2 a
-    parenthesised list of two or more (``K(3,3)``).  ``order`` maps the
-    same parameters to the order of the graph ``build`` returns.
+    parenthesised list of two or more (``K(3,3)``).  ``degrees`` maps the
+    same parameters to one degree per vertex of the graph ``build``
+    returns, so their count is its order.
     """
 
     build: Callable[..., Graph]
     name: str
     arity: int
-    order: Callable[..., int]
+    degrees: Callable[..., tuple[int, ...]]
 
 
 #: Every leaf family kind.  The expression parser tries the kinds in this
 #: order, so a fixed name comes before a kind whose name it extends
 #: (``C5'`` before ``C<n>``).
 LEAF_KINDS: dict[str, LeafKind] = {
-    "house": LeafKind(house_graph, "C5'", 0, lambda: 5),
-    "bull": LeafKind(bull_graph, "bull", 0, lambda: 5),
-    "complete": LeafKind(complete_graph, "K", 1, lambda n: n),
-    "empty": LeafKind(empty_graph, "E", 1, lambda n: n),
-    "path": LeafKind(path_graph, "P", 1, lambda n: n),
-    "cycle": LeafKind(cycle_graph, "C", 1, lambda n: n),
-    "broom_tree": LeafKind(broom_tree, "T", 1, lambda k: 1 + k * (k + 1) // 2),
-    "complete_multipartite": LeafKind(complete_multipartite_graph, "K", 2, lambda *s: sum(s)),
+    "house": LeafKind(house_graph, "C5'", 0, lambda: (3, 2, 3, 2, 2)),
+    "bull": LeafKind(bull_graph, "bull", 0, lambda: (1, 3, 2, 3, 1)),
+    "complete": LeafKind(complete_graph, "K", 1, lambda n: (n - 1,) * n),
+    "empty": LeafKind(empty_graph, "E", 1, lambda n: (0,) * n),
+    "path": LeafKind(path_graph, "P", 1, lambda n: tuple((v > 0) + (v < n - 1) for v in range(n))),
+    "cycle": LeafKind(cycle_graph, "C", 1, lambda n: (2,) * n),
+    "broom_tree": LeafKind(broom_tree, "T", 1, lambda k: (k,) + (1,) * k + (2,) * math.comb(k, 2)),
+    "complete_multipartite": LeafKind(
+        complete_multipartite_graph, "K", 2, lambda *s: tuple(sum(s) - p for p in s for _ in range(p))
+    ),
 }
 
 
-def family_order(spec: FamilySpec) -> int:
-    """The order of :func:`construct_family` ``(spec)``, read off the spec
-    without building it; a spec the builders reject still gets a number."""
+def family_degrees(spec: FamilySpec) -> tuple[int, ...]:
+    """The vertex degrees of :func:`construct_family` ``(spec)``, read off the
+    spec (only a blow-up's base is built); sorted, they are its degree
+    sequence.  A leaf with non-negative parameters that its builder rejects
+    (``P0``, ``C2``) still gets one degree per vertex they count."""
     leaf = LEAF_KINDS.get(spec.kind)
     if leaf is not None:
-        return leaf.order(*spec.params)
+        return leaf.degrees(*spec.params)
     if spec.kind == "blow_up":
-        return sum(size for size, _ in spec.pieces)
-    return sum(family_order(sub) for sub in spec.parts)
+        base = construct_family(spec.parts[0])
+        if len(spec.pieces) != base.n:
+            raise GraphError(f"expected {base.n} parts, got {len(spec.pieces)}")
+        sizes = [size for size, _ in spec.pieces]
+        degrees = []
+        for (size, kind), row in zip(spec.pieces, base.adj):
+            inner = size - 1 if kind == "complete" else 0
+            degrees += [inner + sum(sizes[j] for j in _bits(row))] * size
+        return tuple(degrees)
+    parts = [family_degrees(sub) for sub in spec.parts]
+    total = sum(len(part) for part in parts)
+    if spec.kind == "union":
+        return tuple(d for part in parts for d in part)
+    if spec.kind == "join":
+        return tuple(d + total - len(part) for part in parts for d in part)
+    return tuple(total - 1 - d for part in parts for d in part)  # complement
+
+
+def family_order(spec: FamilySpec) -> int:
+    """The order of :func:`construct_family` ``(spec)``, read off the spec as
+    the number of its :func:`family_degrees`; a leaf its builder rejects
+    still gets a number, and a blow-up whose base or piece count the
+    builders reject raises :class:`GraphError`."""
+    return len(family_degrees(spec))
 
 
 def construct_family(spec: FamilySpec) -> Graph:

@@ -121,10 +121,15 @@ def _min_row_major_value(adj: tuple[int, ...]) -> int:
 
 
 def graph_from_pair_mask(n: int, mask: int) -> Graph:
-    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    num_pairs = len(pairs)
-    edges = [pairs[p] for p in range(num_pairs) if mask >> (num_pairs - 1 - p) & 1]
-    return build_graph(n, edges)
+    """The graph whose pairs, row-major from (0, 1), are ``mask``'s bits from the top."""
+    rows = [0] * n
+    bit = n * (n - 1) // 2
+    for i, j in itertools.combinations(range(n), 2):
+        bit -= 1
+        if mask >> bit & 1:
+            rows[i] |= 1 << j
+            rows[j] |= 1 << i
+    return Graph(n, tuple(rows))
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:

@@ -15,12 +15,11 @@ from typing import NamedTuple
 from .catalog import (
     TheoremId,
     construction_graph,
-    family_matches,
     in_family_f,
     instantiate_families,
 )
 from .graphs import Graph, is_connected
-from .isomorphism import Graph6Error, enumerate_graphs, parse_graph6, write_graph6
+from .isomorphism import Graph6Error, are_isomorphic, enumerate_graphs, parse_graph6, write_graph6
 from .resolving import metric_dimension
 from .symmetry import coloring_from_resolving_set, distinguishing_number, is_distinguishing
 
@@ -198,7 +197,7 @@ def check_characterization(
             continue
         if restricted and not in_family_f(g):
             report.excluded.append(f"{write_graph6(g)} has D = {target} but lies outside coverage")
-        elif listed(family_matches(theorem, g)):
+        elif any(are_isomorphic(inst.graph, g) for inst in instances):
             report.matched += 1
         else:
             report.mismatches.append(

@@ -1,5 +1,6 @@
 """Catalog instantiation, classification reports, and coverage predicate."""
 
+import random
 from collections import Counter
 
 import pytest
@@ -18,6 +19,7 @@ from symbreak import (
     disjoint_union,
     distinguishing_number,
     enumerate_graphs,
+    family_degrees,
     family_order,
     format_spec,
     in_family_f,
@@ -34,6 +36,12 @@ from symbreak.graphs import GraphError
 
 from conftest import relabel
 from oracles import brute_distinguishing_number
+
+
+#: The graphs that the benchmark's ``symmetric`` workload analyzes.
+SYMMETRIC_INPUTS = (
+    "C10", "IheA@GUAo", "K8", "K(4,4)", "T5", "~C10", "U(C5,C5)", "C9", "K(3,3,3)", "K9", "E11",
+)
 
 
 def catalog_graphs(theorem, n):
@@ -83,17 +91,22 @@ class TestInstantiation:
     @pytest.mark.parametrize("theorem", list(TheoremId), ids=lambda t: t.value)
     def test_every_row_grows_by_one_vertex_per_unit_of_t(self, theorem):
         # instantiate_families reads a row's order-n member off this growth,
-        # and reads each order off the spec
+        # and reads each order and degree sequence off the spec
         for entry, _ in catalog_rows(theorem):
             if entry.t_min is None:
                 spec = entry.make(0)
-                assert family_order(spec) == construct_family(spec).n, entry.index
+                graph = construct_family(spec)
+                assert family_order(spec) == graph.n, entry.index
+                assert tuple(sorted(family_degrees(spec))) == graph.degree_sequence(), entry.index
                 continue
             orders = []
             for t in range(entry.t_min, entry.t_min + 31):
                 spec = entry.make(t)
-                orders.append(construct_family(spec).n)
+                graph = construct_family(spec)
+                orders.append(graph.n)
                 assert family_order(spec) == orders[-1], (entry.index, t)
+                degrees = tuple(sorted(family_degrees(spec)))
+                assert degrees == graph.degree_sequence(), (entry.index, t)
             assert orders == list(range(orders[0], orders[0] + 31)), entry.index
 
     @pytest.mark.parametrize("theorem", list(TheoremId), ids=lambda t: t.value)
@@ -142,6 +155,55 @@ class TestInstantiation:
         relabelled = relabel(g, (4, 2, 0, 3, 1))
         assert [m.entry for m in family_matches(TheoremId.DN2, relabelled)] == [9]
         assert family_matches(TheoremId.DN2, path_graph(5)) == ()
+
+    @pytest.mark.parametrize("theorem", list(TheoremId), ids=lambda t: t.value)
+    def test_family_matches_gives_a_relabelled_instance_its_aliases(self, theorem):
+        shuffle = random.Random(theorem.value).shuffle
+        for n in range(max(4, theorem.min_order), 13):
+            for inst in instantiate_families(theorem, n):
+                perm = list(range(n))
+                shuffle(perm)
+                assert family_matches(theorem, relabel(inst.graph, tuple(perm))) == inst.matches
+
+    def test_family_matches_agrees_with_the_instances_up_to_order_7(self, order7_classes):
+        pool = [g for n in range(1, 7) for g in enumerate_graphs(n)] + order7_classes
+        for g in pool:
+            for theorem in TheoremId:
+                if g.n < theorem.min_order:
+                    continue
+                expected = next(
+                    (
+                        inst.matches
+                        for inst in instantiate_families(theorem, g.n)
+                        if are_isomorphic(inst.graph, g)
+                    ),
+                    (),
+                )
+                assert family_matches(theorem, g) == expected, (theorem, write_graph6(g))
+
+    def test_family_matches_builds_only_members_of_the_graphs_degree_sequence(self, monkeypatch):
+        # the benchmark's analyze inputs: each matches at most one member,
+        # and only the members that do are built
+        from symbreak import catalog
+
+        built = []
+        build = catalog.construct_family
+
+        def counted(spec):
+            built.append(spec)
+            return build(spec)
+
+        monkeypatch.setattr(catalog, "construct_family", counted)
+        found = []
+        for text in SYMMETRIC_INPUTS:
+            g = parse_graph6(text) if text[0] == "I" else construct_family(parse_expression(text))
+            catalog.instantiate_families.cache_clear()  # a cold cache, as in one CLI run
+            for theorem in TheoremId:
+                if g.n >= theorem.min_order:
+                    found += [m.expression for m in family_matches(theorem, g)]
+        catalog.instantiate_families.cache_clear()
+        assert found == ["K8", "K(4,4)", "K9", "E11"]
+        assert len(built) == 4
 
     def test_d_n_minus_1_at_order_4(self):
         pool = catalog_graphs(TheoremId.DN1, 4)

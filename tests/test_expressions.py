@@ -5,11 +5,13 @@ import pytest
 from symbreak import (
     ExpressionError,
     FamilySpec,
+    GraphError,
     are_isomorphic,
     bull_graph,
     complete_multipartite_graph,
     construct_family,
     cycle_graph,
+    family_degrees,
     family_order,
     format_spec,
     house_graph,
@@ -123,12 +125,40 @@ class TestFormatting:
     @pytest.mark.parametrize("spec", LEAF_SPECS, ids=lambda spec: spec.kind)
     def test_every_leaf_kind_knows_its_order(self, spec):
         assert family_order(spec) == construct_family(spec).n
+        assert sorted(family_degrees(spec)) == list(construct_family(spec).degree_sequence())
 
     @pytest.mark.parametrize("kind", _COMBINATORS)
     def test_every_combinator_knows_its_order(self, kind):
         spec = parse_expression(COMBINATOR_SAMPLES[kind])
         assert spec.kind == kind
         assert family_order(spec) == construct_family(spec).n
+        assert sorted(family_degrees(spec)) == list(construct_family(spec).degree_sequence())
+
+    @pytest.mark.parametrize(
+        "text",
+        ["K1", "E1", "P1", "P2", "C3", "T3", "T7", "K(1,1)", "K(5,1,3)", "~K(2,2,2)",
+         "J(P5,C6,E3)", "U(T4,~C7,K(1,4))", "B(C5,K3,E1,K2,E4,K1)", "B(bull,E2,K1,E1,K3,E2)",
+         "~B(J(K1,P3),K2,E3,K1,E4)", "J(K1,U(K2,B(P3,K2,E1,K3)))", "B(E3,K2,E2,K1)"],
+    )
+    def test_degrees_are_the_built_degree_sequence(self, text):
+        spec = parse_expression(text)
+        assert sorted(family_degrees(spec)) == list(construct_family(spec).degree_sequence())
+
+    @pytest.mark.parametrize(
+        "text, order",
+        [("P0", 0), ("C0", 0), ("C1", 1), ("C2", 2), ("K0", 0), ("E0", 0), ("T0", 1),
+         ("T1", 2), ("T2", 4), ("K(0,3)", 3), ("U(C2,K3)", 5), ("~C2", 2), ("B(P2,E0,K3)", 3)],
+    )
+    def test_parameters_the_builders_reject_still_get_an_order(self, text, order):
+        spec = parse_expression(text)
+        with pytest.raises(GraphError):
+            construct_family(spec)
+        assert family_order(spec) == order
+
+    @pytest.mark.parametrize("text", ["B(C2,K1,K1)", "B(P3,K1,K1)", "B(P2,K1,K1,K1)"])
+    def test_a_blow_up_the_builders_reject_raises(self, text):
+        with pytest.raises(GraphError):
+            family_degrees(parse_expression(text))
 
     def test_collapses_repeated_union_operands(self):
         assert format_spec(parse_expression("U(K2,K2,K2)")) == "3*K2"

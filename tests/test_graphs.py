@@ -112,6 +112,17 @@ class TestValueObjects:
         assert copy.degree_sequence() == (2, 2, 2, 2, 2)
         assert vars(copy) == vars(g)
 
+    def test_unpickling_skips_the_constructor(self, monkeypatch):
+        g = cycle_graph(5)
+        data = pickle.dumps(g)
+
+        def refuse(cls, *args):
+            raise AssertionError("Graph.__new__ ran while unpickling")
+
+        monkeypatch.setattr(Graph, "__new__", refuse)
+        copy = pickle.loads(data)
+        assert type(copy) is Graph and copy == g and vars(copy) == {}
+
     def test_a_graph_is_the_tuple_of_its_order_and_rows(self):
         g = build_graph(2, [(0, 1)])
         assert len(g) == 2 and g == (2, (0b10, 0b01))
@@ -303,6 +314,17 @@ class TestDistances:
         assert is_connected(path_graph(6))
         assert not is_connected(disjoint_union(complete_graph(1), complete_graph(3)))
         assert is_connected(complete_graph(1))
+
+    def test_connectivity_leaves_the_distances_unbuilt(self):
+        g = disjoint_union(path_graph(3), cycle_graph(4))
+        assert not is_connected(g) and is_connected(cycle_graph(64))
+        assert "_distance_matrix" not in vars(g)
+
+
+@given(graphs(max_n=7))
+@settings(max_examples=80)
+def test_connected_exactly_when_vertex_0_reaches_every_vertex(g):
+    assert is_connected(g) == (g.n == 0 or math.inf not in shortest_path_matrix(g)[0])
 
 
 @given(graphs(max_n=7))

@@ -98,6 +98,14 @@ class TestCanonicalForm:
         two_k2 = disjoint_union(complete_graph(2), complete_graph(2))
         assert canonical_form(cycle_graph(4)) != canonical_form(two_k2)
 
+    @pytest.mark.parametrize("n", range(7))
+    def test_pair_masks_read_row_major_from_the_top_bit(self, n):
+        pairs = list(itertools.combinations(range(n), 2))
+        for mask in range(1 << len(pairs)):
+            g = graph_from_pair_mask(n, mask)
+            edges = [pair for p, pair in enumerate(reversed(pairs)) if mask >> p & 1]
+            assert g == build_graph(n, edges) and pair_mask(g) == mask
+
     def test_labeled_graphs_on_4_vertices_fall_into_11_classes(self):
         forms = {canonical_form(graph_from_pair_mask(4, m)).value for m in range(64)}
         assert len(forms) == 11
