@@ -14,8 +14,9 @@ INPUT is either a graph6 line or a family expression (see the grammar in
 everything passed, 1 when a verification failed, 2 on unparsable input, a
 --jobs below 1, a --max below 2, an order below 1 or an order or range
 that selects nothing, 3 when a graph is beyond the supported bounds (an order
-above the enumeration cap, a --max above 9, or a symmetry search over its
-step budget, named in the message), 141 when the reader closes stdout.
+above the enumeration cap, a --max above 9, or an isometry, coloring,
+canonical or hitting-set search over its step budget, named in the message),
+141 when the reader closes stdout.
 """
 
 from __future__ import annotations

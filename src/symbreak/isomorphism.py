@@ -13,8 +13,8 @@ so the next position holds a vertex of the first cell, and that vertex's
 row, its non-neighbours then its neighbours within each cell, is fixed by
 its neighbour count per cell.  Only first-cell vertices with the least row
 branch, one per twin class, and a branch stops as soon as its exact prefix
-exceeds the best string's.  The search is exact for every order up to
-:data:`CANONICAL_MAX_VERTICES`.
+exceeds the best string's.  The search is exact at every order; it charges
+the first cell's size at each node to a :class:`~symbreak.graphs.StepBudget`.
 
 Exhaustive enumeration works at orders up to :data:`ENUMERATION_MAX_ORDER`
 by one-vertex augmentation: every representative of order ``n - 1`` gets a
@@ -24,8 +24,8 @@ vertex has the largest degree are kept (McKay, J. Algorithms 26 (1998)), an
 exact rule since every graph minus a vertex of largest degree is some parent,
 and they are deduplicated by canonical form.  Order 7 (1,044 classes) takes
 about 0.07 s, order 8 (12,346) about 1.2 s and order 9 (274,668) about 33 s.
-The cap stays at 7 until the searches have node budgets; larger orders
-enter through graph6 files.
+Every search has a step budget, so the cap at 7 bounds a scan's total work,
+not any one search; larger orders enter through graph6 files.
 """
 
 from __future__ import annotations
@@ -34,11 +34,10 @@ import itertools
 from functools import lru_cache
 from typing import Iterator, NamedTuple
 
-from .graphs import MAX_VERTICES, Graph, OrderLimitError, build_graph, is_connected
+from .graphs import MAX_VERTICES, Graph, OrderLimitError, StepBudget, build_graph, is_connected
 from .symmetry import class_symmetries, isometries, split_cells
 from .twins import twin_classes_of_rows, twin_graph
 
-CANONICAL_MAX_VERTICES = 10
 ENUMERATION_MAX_ORDER = 7
 
 #: graph6 bytes are printable ASCII offset by 63.
@@ -64,11 +63,11 @@ class CanonicalForm(NamedTuple):
 
 
 def canonical_form(g: Graph) -> CanonicalForm:
-    """Smallest row-major upper-triangle bit string over all relabelings."""
-    if g.n > CANONICAL_MAX_VERTICES:
-        raise OrderLimitError(
-            f"canonical forms are supported up to {CANONICAL_MAX_VERTICES} vertices, got {g.n}"
-        )
+    """Smallest row-major upper-triangle bit string over all relabelings.
+
+    Raises:
+        OrderLimitError: when the search goes over its step budget.
+    """
     return CanonicalForm(g.n, _min_row_major_value(g.adj))
 
 
@@ -83,12 +82,14 @@ def _min_row_major_value(adj: tuple[int, ...]) -> int:
             class_id[v] = ci
 
     best = 1 << n * (n - 1) // 2  # above every value of that many bits
+    charge = StepBudget("canonical").charge
 
     def search(cells: list[int], prefix: int, m: int) -> None:
         # ``cells`` orders the m unplaced vertices; each cell is homogeneous
         # towards every placed vertex, and ``prefix`` holds the placed rows.
         nonlocal best
         sizes = [cell.bit_count() for cell in cells]
+        charge(sizes[0])  # a step per candidate row
         sizes[0] -= 1  # the placed vertex leaves the first cell
         least, chosen, classes = None, [], set()
         bits = cells[0]

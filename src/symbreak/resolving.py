@@ -21,7 +21,7 @@ import itertools
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
-from .graphs import DisconnectedError, Graph, is_connected, shortest_path_matrix
+from .graphs import DisconnectedError, Graph, StepBudget, is_connected, shortest_path_matrix
 from .twins import twin_classes
 
 
@@ -56,6 +56,7 @@ def metric_dimension(g: Graph) -> ResolvingWitness:
 
     Raises:
         DisconnectedError: on disconnected input.
+        OrderLimitError: when the hitting-set search goes over its step budget.
     """
     if g.n < 1:
         raise DisconnectedError("metric dimension needs at least one vertex")
@@ -106,8 +107,10 @@ def _min_hitting_set(sets: list[int], candidates: list[int]) -> list[int]:
             kept |= 1 << w
     candidates = sorted(w for w in candidates if kept >> w & 1)
     best = [kept]
+    charge = StepBudget("hitting-set").charge
 
     def search(unhit: list[int], allowed: int, chosen: int, size: int) -> None:
+        charge()
         if not unhit:
             best[0] = chosen
             return

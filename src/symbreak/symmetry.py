@@ -29,20 +29,12 @@ from .graphs import (
     DisconnectedError,
     Graph,
     GraphError,
-    OrderLimitError,
+    StepBudget,
     _bits,
     is_connected,
 )
 from .resolving import is_resolving
 from .twins import twin_graph
-
-#: Steps each symmetry search may take before it raises OrderLimitError:
-#: images tried by ``isometries``, plus ``n`` per bijection it visits, and
-#: color-set tuples tried by ``distinguishing_number`` over all k.  Benchmark
-#: inputs take at most 2,990 and 1,740; tests 16,320 (C64) and 1,740, apart
-#: from the 279,998 that list the group of the coloring-refusal test's input.
-SEARCH_MAX_STEPS = 2_000_000
-
 
 class NotResolvingError(GraphError):
     """The supplied vertex set does not resolve the graph."""
@@ -108,13 +100,7 @@ def isometries(
     if [cell.bit_count() for cell in g_cells] != [cell.bit_count() for cell in h_cells]:
         return False
     image = [-1] * n
-    steps = 0
-
-    def charge(cost: int) -> None:
-        nonlocal steps
-        steps += cost
-        if steps > SEARCH_MAX_STEPS:
-            raise OrderLimitError(f"isometry search over its {SEARCH_MAX_STEPS:,}-step budget")
+    charge = StepBudget("isometry").charge
 
     def extend(g_cells: list[int], h_cells: list[int]) -> bool | None:
         if not g_cells:
@@ -153,7 +139,7 @@ def class_symmetries(g: Graph) -> ClassSymmetries:
     """List the label-preserving automorphisms of the twin graph of ``g``.
 
     Raises:
-        OrderLimitError: when listing the group takes over ``SEARCH_MAX_STEPS`` steps.
+        OrderLimitError: when listing the group goes over its step budget.
     """
     structure = twin_graph(g)
     moved: list[tuple[tuple[int, ...], tuple[int, ...]]] = []
@@ -250,16 +236,15 @@ def distinguishing_number(g: Graph) -> int:
     sizes = [len(cls) for cls in symmetries.classes]
     # only these classes vary; every other one keeps its lowest colors
     varied = sorted({c for support, _ in symmetries.moved for c in support})[1:]
-    steps = 0
+    charge = StepBudget("coloring").charge
     for k in range(max(sizes), g.n + 1):
         palettes = [range(k if d in varied else size) for d, size in enumerate(sizes)]
         choices = [
             [sum(1 << c for c in combo) for combo in itertools.combinations(palette, size)]
             for palette, size in zip(palettes, sizes)
         ]
-        for steps, color_sets in enumerate(itertools.product(*choices), steps + 1):
-            if steps > SEARCH_MAX_STEPS:
-                raise OrderLimitError(f"coloring search over its {SEARCH_MAX_STEPS:,}-step budget")
+        for color_sets in itertools.product(*choices):
+            charge()
             if _breaks_all(color_sets, symmetries.moved):
                 return k
     raise AssertionError("an all-distinct coloring always distinguishes")

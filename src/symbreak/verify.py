@@ -73,11 +73,13 @@ def _map_jobs(fn, items, jobs: int):
 
 
 def load_graph6_file(path: str) -> list[Graph]:
-    """One graph per non-blank line; a malformed line raises a
+    """One graph per non-blank line, after the optional ``>>graph6<<`` header
+    at the start of the file; a malformed line raises a
     :class:`Graph6Error` that names ``path:line``."""
     graphs = []
     with open(path, "rb") as handle:
         for number, raw in enumerate(handle, 1):
+            raw = raw.removeprefix(b">>graph6<<") if number == 1 else raw
             if raw.strip():
                 try:
                     # latin-1 keeps each byte's value, so parse_graph6 names a non-ASCII byte

@@ -15,7 +15,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 import symbreak
-from symbreak import broom_tree, construct_family, parse_expression, write_graph6
+from symbreak import broom_tree, construct_family, load_graph6_file, parse_expression, write_graph6
 from symbreak.cli import main
 
 from conftest import graphs
@@ -332,6 +332,19 @@ class TestVerify:
             code, out, err = run_cli(capsys, *argv, "--graph6-file", str(path))
             assert code == 2 and out == ""
             assert f"{path}:{where}" in err
+
+    def test_graph6_file_header_is_skipped(self, capsys, tmp_path):
+        # nauty's -h writes >>graph6<< at the start of the first line
+        plain, headed = tmp_path / "plain.g6", tmp_path / "headed.g6"
+        plain.write_bytes(b"C~\nCF\nCr\n")
+        headed.write_bytes(b">>graph6<<C~\nCF\nCr\n")
+        assert load_graph6_file(str(headed)) == load_graph6_file(str(plain))
+        outputs = []
+        for path in (plain, headed):
+            code, out, err = run_cli(capsys, "enumerate", "--n", "4", "--graph6-file", str(path))
+            assert code == 0 and err == ""
+            outputs.append(out)
+        assert outputs[0] == outputs[1] and len(outputs[0].splitlines()) == 4
 
     def test_unreadable_graph6_file_exits_2_naming_the_path(self, capsys, tmp_path):
         # an OSError on the input is bad input; only a closed stdout is not

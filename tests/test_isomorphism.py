@@ -37,7 +37,6 @@ import symbreak
 from symbreak import isomorphism
 from symbreak.catalog import TheoremId, instantiate_families
 from symbreak.isomorphism import (
-    CANONICAL_MAX_VERTICES,
     _canonical_masks,
     _orbit_subsets,
     graph_from_pair_mask,
@@ -110,9 +109,21 @@ class TestCanonicalForm:
         forms = {canonical_form(graph_from_pair_mask(4, m)).value for m in range(64)}
         assert len(forms) == 11
 
-    def test_order_bound(self):
-        with pytest.raises(OrderLimitError):
-            canonical_form(complete_graph(11))
+    @pytest.mark.parametrize(
+        ("g", "steps"),
+        [(complete_graph(11), 65), (cycle_graph(64), 123_136)],
+        ids=["K11", "C64"],
+    )
+    def test_step_budget(self, monkeypatch, g, steps):
+        # a step is a candidate row: K11 tries 11 + 10 + ... + 2 of them
+        form = canonical_form(relabel(g, tuple(random.Random(g.n).sample(range(g.n), g.n))))
+        assert are_isomorphic(graph_from_pair_mask(g.n, form.value), g)
+        monkeypatch.setattr("symbreak.graphs.SEARCH_MAX_STEPS", steps)
+        assert canonical_form(g) == form
+        monkeypatch.setattr("symbreak.graphs.SEARCH_MAX_STEPS", steps - 1)
+        message = f"canonical search over its {steps - 1:,}-step budget"
+        with pytest.raises(OrderLimitError, match=message):
+            canonical_form(g)
 
     @given(graphs(min_n=0, max_n=6))
     @settings(max_examples=80, deadline=None)
@@ -231,7 +242,7 @@ class TestAreIsomorphic:
     @settings(max_examples=40, deadline=None)
     def test_relabelings_are_isomorphic_above_the_canonical_cap(self, pair):
         g, perm = pair
-        assert g.n > CANONICAL_MAX_VERTICES
+        assert g.n > 10
         assert are_isomorphic(g, relabel(g, perm))
 
     @pytest.mark.parametrize(
@@ -240,7 +251,7 @@ class TestAreIsomorphic:
     )
     def test_equal_degree_sequences_are_told_apart_above_the_cap(self, left, right):
         g, h = (construct_family(parse_expression(text)) for text in (left, right))
-        assert g.n == h.n > CANONICAL_MAX_VERTICES
+        assert g.n == h.n > 10
         assert g.degree_sequence() == h.degree_sequence()
         assert not are_isomorphic(g, h) and not are_isomorphic(h, g)
 

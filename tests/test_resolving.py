@@ -8,8 +8,10 @@ from hypothesis import strategies as st
 
 from symbreak import (
     DisconnectedError,
+    OrderLimitError,
     broom_tree,
     build_graph,
+    complement,
     complete_graph,
     cycle_graph,
     diameter,
@@ -81,6 +83,16 @@ class TestMetricDimension:
     def test_rejects_disconnected(self):
         with pytest.raises(DisconnectedError):
             metric_dimension(disjoint_union(complete_graph(1), complete_graph(2)))
+
+    def test_hitting_set_budget(self, monkeypatch):
+        # a step is a node of the hitting-set search; the complement of C20
+        # has dimension 8 after 1,608 of them
+        g = complement(cycle_graph(20))
+        monkeypatch.setattr("symbreak.graphs.SEARCH_MAX_STEPS", 1_608)
+        assert metric_dimension.__wrapped__(g).dim == 8
+        monkeypatch.setattr("symbreak.graphs.SEARCH_MAX_STEPS", 1_607)
+        with pytest.raises(OrderLimitError, match="hitting-set search over its 1,607-step budget"):
+            metric_dimension.__wrapped__(g)
 
 
 class TestPrunedSearchAgainstNaive:

@@ -36,7 +36,6 @@ from symbreak import (
 from symbreak.graphs import DisconnectedError, GraphError
 from symbreak.expressions import parse_expression
 from symbreak.graphs import construct_family
-from symbreak import symmetry
 from symbreak.symmetry import class_symmetries, isometries
 
 from conftest import graphs, graphs_with_permutation, relabel
@@ -303,9 +302,9 @@ class TestSearchBudget:
         ids=["C20", "C64", "P64"],
     )
     def test_isometry_budget(self, monkeypatch, g, steps, moved):
-        monkeypatch.setattr(symmetry, "SEARCH_MAX_STEPS", steps)
+        monkeypatch.setattr("symbreak.graphs.SEARCH_MAX_STEPS", steps)
         assert len(class_symmetries.__wrapped__(g).moved) == moved
-        monkeypatch.setattr(symmetry, "SEARCH_MAX_STEPS", steps - 1)
+        monkeypatch.setattr("symbreak.graphs.SEARCH_MAX_STEPS", steps - 1)
         message = f"isometry search over its {steps - 1:,}-step budget"
         with pytest.raises(OrderLimitError, match=message):
             class_symmetries.__wrapped__(g)
@@ -313,9 +312,9 @@ class TestSearchBudget:
     def test_coloring_budget(self, monkeypatch):
         g = disjoint_union(cycle_graph(5), cycle_graph(5))
         class_symmetries(g)  # listed under the full budget; only the coloring search is bounded
-        monkeypatch.setattr(symmetry, "SEARCH_MAX_STEPS", 1_740)
+        monkeypatch.setattr("symbreak.graphs.SEARCH_MAX_STEPS", 1_740)
         assert distinguishing_number(g) == 3
-        monkeypatch.setattr(symmetry, "SEARCH_MAX_STEPS", 1_739)
+        monkeypatch.setattr("symbreak.graphs.SEARCH_MAX_STEPS", 1_739)
         with pytest.raises(OrderLimitError, match="coloring search over its 1,739-step budget"):
             distinguishing_number(g)
 
