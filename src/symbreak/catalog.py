@@ -28,7 +28,6 @@ degree sequences are isomorphic except in three pairs of ``Dn3`` at orders
 from __future__ import annotations
 
 import enum
-from functools import lru_cache
 from typing import Callable, NamedTuple
 
 from .expressions import format_spec
@@ -278,7 +277,6 @@ def _members(theorem: TheoremId, n: int):
             yield entry, erratum, t, family, degrees
 
 
-@lru_cache(maxsize=None)
 def instantiate_families(theorem: TheoremId, n: int) -> tuple[FamilyInstance, ...]:
     """All catalog graphs of order exactly ``n``, deduplicated.
 

@@ -7,35 +7,35 @@ Two graphs are isomorphic exactly when their canonical forms coincide.
 Canonicalisation of a single graph places vertices one position at a time
 and keeps the unplaced ones as an ordered list of cells, each homogeneous
 towards every placed vertex (McKay and Piperno's refinement, by the same
-``symmetry.split_cells`` as the isomorphism search).  In the minimal string
-the unplaced positions are sorted by their adjacency to the placed prefix,
-so the next position holds a vertex of the first cell, and that vertex's
-row, its non-neighbours then its neighbours within each cell, is fixed by
-its neighbour count per cell.  Only first-cell vertices with the least row
-branch, one per twin class, and a branch stops as soon as its exact prefix
-exceeds the best string's.  The search is exact at every order; it charges
-the first cell's size at each node to a :class:`~symbreak.graphs.StepBudget`.
+:func:`split_cells` as the isomorphism search :func:`isometries`).  In the
+minimal string the unplaced positions are sorted by their adjacency to the
+placed prefix, so the next position holds a vertex of the first cell, and
+that vertex's row, its non-neighbours then its neighbours within each cell,
+is fixed by its neighbour count per cell.  Only first-cell vertices with the
+least row branch, one per twin class, and a branch stops as soon as its exact
+prefix exceeds the best string's.  The search is exact at every order; it
+charges the first cell's size at each node to a :class:`~symbreak.graphs.StepBudget`.
 
 Exhaustive enumeration works at orders up to :data:`ENUMERATION_MAX_ORDER`
 by one-vertex augmentation: every representative of order ``n - 1`` gets a
-new vertex joined to one neighbourhood per orbit of its automorphism group,
-read from the labelled group of its twin graph.  Only children whose new
-vertex has the largest degree are kept (McKay, J. Algorithms 26 (1998)), an
-exact rule since every graph minus a vertex of largest degree is some parent,
-and they are deduplicated by canonical form.  Order 7 (1,044 classes) takes
-about 0.07 s, order 8 (12,346) about 1.2 s and order 9 (274,668) about 33 s.
-Every search has a step budget, so the cap at 7 bounds a scan's total work,
-not any one search; larger orders enter through graph6 files.
+new vertex joined to one neighbourhood per vector of counts over its twin
+classes, which meets every orbit of its automorphism group without listing
+that group.  Only children whose new vertex has the largest degree are kept
+(McKay, J. Algorithms 26 (1998)), an exact rule since every graph minus a
+vertex of largest degree is some parent, and they are deduplicated by
+canonical form.  Order 7 (1,044 classes) takes about 0.1 s, order 8
+(12,346) about 1.6 s and order 9 (274,668) about 35 s.  Every search has a
+step budget, so the cap at 7 bounds a scan's total work, not any one
+search; larger orders enter through graph6 files.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Iterator, NamedTuple
+from typing import Callable, Hashable, Iterator, NamedTuple, Sequence
 
-from .graphs import MAX_VERTICES, Graph, OrderLimitError, StepBudget, build_graph, is_connected
-from .symmetry import class_symmetries, isometries, split_cells
+from .graphs import MAX_VERTICES, Graph, OrderLimitError, StepBudget, _bits, is_connected
 from .twins import twin_classes_of_rows, twin_graph
 
 ENUMERATION_MAX_ORDER = 7
@@ -60,6 +60,69 @@ class CanonicalForm(NamedTuple):
 
     n: int
     value: int
+
+
+def split_cells(cells: Sequence[int], adj: Sequence[int], v: int) -> list[int]:
+    """Take ``v`` out of the ordered vertex-mask ``cells`` and split each cell
+    into ``v``'s non-neighbours, then its neighbours, dropping empty parts."""
+    refined = []
+    for cell in cells:
+        outside, inside = cell & ~(adj[v] | 1 << v), cell & adj[v]
+        if outside:
+            refined.append(outside)
+        if inside:
+            refined.append(inside)
+    return refined
+
+
+def isometries(
+    g: Graph,
+    h: Graph,
+    visit: Callable[[list[int]], bool | None],
+    colors: Sequence[Hashable] | None = None,
+    h_colors: Sequence[Hashable] | None = None,
+) -> bool:
+    """Pass every isomorphism from ``g`` onto ``h`` to ``visit``.
+
+    Both sides keep their unplaced vertices as paired ordered cells, first
+    grouped by color (``h_colors`` on ``h``, by default ``colors``) and
+    degree.  The lowest vertex ``v`` of the smallest ``g`` cell goes to each
+    ``w`` of the paired cell with ``v``'s neighbour count in every cell
+    pair; :func:`split_cells` then splits both sides.  ``visit`` gets the
+    image list, which the search reuses (copy it to keep it), and returning
+    True from it stops the search and makes this return True.  A step is an
+    image tried, or ``n`` per visit.
+    """
+    n = g.n
+    if h.n != n:
+        return False
+    colors = [0] * n if colors is None else colors
+    h_colors = colors if h_colors is None else h_colors
+    keys = sorted({(colors[v], g.degree(v)) for v in range(n)})
+    g_cells = [sum(1 << v for v in range(n) if (colors[v], g.degree(v)) == key) for key in keys]
+    h_cells = [sum(1 << w for w in range(n) if (h_colors[w], h.degree(w)) == key) for key in keys]
+    if [cell.bit_count() for cell in g_cells] != [cell.bit_count() for cell in h_cells]:
+        return False
+    image = [-1] * n
+    charge = StepBudget("isometry").charge
+
+    def extend(g_cells: list[int], h_cells: list[int]) -> bool | None:
+        if not g_cells:
+            charge(n)
+            return visit(image)
+        sizes = [cell.bit_count() for cell in g_cells]
+        i = sizes.index(min(sizes))
+        v = (g_cells[i] & -g_cells[i]).bit_length() - 1
+        counts = [(g.adj[v] & cell).bit_count() for cell in g_cells]
+        for w in _bits(h_cells[i]):
+            charge(1)
+            if [(h.adj[w] & cell).bit_count() for cell in h_cells] == counts:
+                image[v] = w
+                if extend(split_cells(g_cells, g.adj, v), split_cells(h_cells, h.adj, w)):
+                    return True
+        return False
+
+    return bool(extend(g_cells, h_cells))
 
 
 def canonical_form(g: Graph) -> CanonicalForm:
@@ -123,6 +186,11 @@ def _min_row_major_value(adj: tuple[int, ...]) -> int:
 
 def graph_from_pair_mask(n: int, mask: int) -> Graph:
     """The graph whose pairs, row-major from (0, 1), are ``mask``'s bits from the top."""
+    return Graph(n, tuple(_pair_mask_rows(n, mask)))
+
+
+def _pair_mask_rows(n: int, mask: int) -> list[int]:
+    """The adjacency rows of :func:`graph_from_pair_mask`, unchecked."""
     rows = [0] * n
     bit = n * (n - 1) // 2
     for i, j in itertools.combinations(range(n), 2):
@@ -130,7 +198,7 @@ def graph_from_pair_mask(n: int, mask: int) -> Graph:
         if mask >> bit & 1:
             rows[i] |= 1 << j
             rows[j] |= 1 << i
-    return Graph(n, tuple(rows))
+    return rows
 
 
 def are_isomorphic(g: Graph, h: Graph) -> bool:
@@ -157,41 +225,40 @@ def _canonical_masks(n: int) -> tuple[int, ...]:
     a vertex ``u`` leaves a graph isomorphic to some parent, and the
     parent's subset in the orbit of ``u``'s neighbourhood gives a child
     whose new vertex plays ``u``'s part.  So only children whose new vertex
-    has the largest degree are canonicalised (184, 1,401 and 18,272 at
-    orders 6, 7 and 8, against 544, 5,096 and 79,264 without the rule), and
-    only subsets of at least the parent's largest degree are tried.
-    Children are bare row tuples; their canonical values are deduplicated.
+    has the largest degree are canonicalised (221, 1,808 and 22,194 at
+    orders 6, 7 and 8, against 652, 6,412 and 94,956 without the rule), and
+    only subsets of at least the parent's largest degree are tried.  No
+    group is listed, so an orbit may be tried more than once; parents and
+    children are bare rows, and their canonical values are deduplicated.
     """
     if n <= 1:
         return (0,)
     found = set()
     for parent_mask in _canonical_masks(n - 1):
-        parent = graph_from_pair_mask(n - 1, parent_mask)
-        degrees = [row.bit_count() for row in parent.adj]
-        for subset in _orbit_subsets(parent, max(degrees)):
+        adj = _pair_mask_rows(n - 1, parent_mask)
+        degrees = [row.bit_count() for row in adj]
+        for subset in _orbit_subsets(adj, max(degrees)):
             size = subset.bit_count()
             if any(size < d + (subset >> v & 1) for v, d in enumerate(degrees)):
                 continue
-            rows = [row | (subset >> v & 1) << n - 1 for v, row in enumerate(parent.adj)]
+            rows = [row | (subset >> v & 1) << n - 1 for v, row in enumerate(adj)]
             found.add(_min_row_major_value((*rows, subset)))
     return tuple(sorted(found))
 
 
-def _orbit_subsets(g: Graph, least: int = 0) -> Iterator[int]:
-    """Yield one vertex subset, as a bit mask, per orbit of Aut(g) on the
-    subsets of at least ``least`` vertices.
+def _orbit_subsets(adj: Sequence[int], least: int) -> Iterator[int]:
+    """Yield the vertex subsets, as bit masks, of at least ``least`` vertices
+    that take the first ``k`` members of each twin class of the graph with
+    adjacency rows ``adj``, one subset per vector of counts ``k``.
 
-    Permutations inside twin classes make two subsets equivalent exactly
-    when they take as many vertices from each class, so a subset is the
-    vector of those counts and always takes the first members of a class.
-    The labelled group of the twin graph permutes the vectors; the
-    lexicographically smallest of each orbit is kept.
+    Permutations inside twin classes are automorphisms, so two subsets that
+    take as many vertices from every class lie in one orbit, and the subsets
+    yielded meet every orbit of the automorphism group at least once.
     """
-    classes, moved = class_symmetries(g)
+    classes = twin_classes_of_rows(adj)
     for counts in itertools.product(*(range(len(cls) + 1) for cls in classes)):
-        if sum(counts) < least or any(tuple(counts[d] for d in f) < counts for _, f in moved):
-            continue
-        yield sum(1 << v for cls, k in zip(classes, counts) for v in cls[:k])
+        if sum(counts) >= least:
+            yield sum(1 << v for cls, k in zip(classes, counts) for v in cls[:k])
 
 
 def check_enumeration_order(n: int) -> None:
@@ -242,18 +309,14 @@ def write_graph6(g: Graph) -> str:
         header = "~" + "".join(
             chr(_G6_OFFSET + (n >> shift & 0x3F)) for shift in (12, 6, 0)
         )
-    bits = []
+    num_bits = n * (n - 1) // 2
+    num_bytes = (num_bits + 5) // 6
+    bits = 0
     for j in range(1, n):
         for i in range(j):
-            bits.append(g.adj[i] >> j & 1)
-    while len(bits) % 6:
-        bits.append(0)
-    body = []
-    for at in range(0, len(bits), 6):
-        value = 0
-        for bit in bits[at : at + 6]:
-            value = value << 1 | bit
-        body.append(chr(value + _G6_OFFSET))
+            bits = bits << 1 | g.adj[i] >> j & 1
+    bits <<= 6 * num_bytes - num_bits  # zero padding up to whole bytes
+    body = (chr(_G6_OFFSET + (bits >> 6 * at & 0x3F)) for at in reversed(range(num_bytes)))
     return header + "".join(body)
 
 
@@ -291,17 +354,17 @@ def parse_graph6(text: str) -> Graph:
         raise Graph6Error(
             f"graph6 body for order {n} must be {expected} bytes, got {len(body)}"
         )
-    bits = []
+    bits = 0
     for ch in body:
-        value = ord(ch) - _G6_OFFSET
-        bits.extend(value >> shift & 1 for shift in (5, 4, 3, 2, 1, 0))
-    if any(bits[num_bits:]):
+        bits = bits << 6 | (ord(ch) - _G6_OFFSET)
+    if bits & (1 << 6 * expected - num_bits) - 1:
         raise Graph6Error("nonzero padding bits in graph6 body")
-    edges = []
-    at = 0
+    rows = [0] * n
+    at = 6 * expected  # the pairs (i, j) run column-major from the top bit
     for j in range(1, n):
         for i in range(j):
-            if bits[at]:
-                edges.append((i, j))
-            at += 1
-    return build_graph(n, edges)
+            at -= 1
+            if bits >> at & 1:
+                rows[i] |= 1 << j
+                rows[j] |= 1 << i
+    return Graph(n, tuple(rows))

@@ -21,7 +21,7 @@ import itertools
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
-from .graphs import DisconnectedError, Graph, StepBudget, is_connected, shortest_path_matrix
+from .graphs import DisconnectedError, Graph, GraphError, StepBudget, is_connected, shortest_path_matrix
 from .twins import twin_classes
 
 
@@ -38,10 +38,14 @@ def is_resolving(g: Graph, vertices: Iterable[int]) -> bool:
     Raises:
         DisconnectedError: metric resolution only makes sense when every
             distance is finite.
+        GraphError: on a vertex outside ``0..n-1``.
     """
     if not is_connected(g):
         raise DisconnectedError("resolving sets are defined for connected graphs")
     landmarks = sorted(set(vertices))
+    if landmarks and (landmarks[0] < 0 or landmarks[-1] >= g.n):
+        outside = next(s for s in landmarks if not 0 <= s < g.n)
+        raise GraphError(f"landmark {outside} is outside 0..{g.n - 1}")
     return len({tuple(row[s] for s in landmarks) for row in shortest_path_matrix(g)}) == g.n
 
 

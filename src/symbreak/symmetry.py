@@ -13,26 +13,20 @@ every class onto the color set of its image (Albertson & Collins,
 Aut(G) are unions of twin classes.  For the same reason two graphs are
 isomorphic exactly when some isomorphism of their twin graphs keeps every
 label, which is how :func:`symbreak.isomorphism.are_isomorphic` decides
-it.  Only that labelled group is listed, never Aut(G) itself, and it is
-sorted by support size so that a non-distinguishing coloring is usually
-refuted by one of its first few elements.  Both run :func:`isometries`,
-whose ordered cells :func:`split_cells` refines as in the canonical search.
+it.  Only that labelled group is listed, never Aut(G) itself, by the same
+search :func:`symbreak.isomorphism.isometries`, and it is sorted by support
+size so that a non-distinguishing coloring is usually refuted by one of its
+first few elements.
 """
 
 from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Callable, Hashable, Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
-from .graphs import (
-    DisconnectedError,
-    Graph,
-    GraphError,
-    StepBudget,
-    _bits,
-    is_connected,
-)
+from .graphs import DisconnectedError, Graph, GraphError, StepBudget, is_connected
+from .isomorphism import isometries
 from .resolving import is_resolving
 from .twins import twin_graph
 
@@ -56,69 +50,6 @@ class Coloring(_ColoringFields):
         if any(not 1 <= c <= k for c in colors):
             raise GraphError("vertex colors must lie in 1..k")
         return tuple.__new__(cls, (colors, k))
-
-
-def split_cells(cells: Sequence[int], adj: Sequence[int], v: int) -> list[int]:
-    """Take ``v`` out of the ordered vertex-mask ``cells`` and split each cell
-    into ``v``'s non-neighbours, then its neighbours, dropping empty parts."""
-    refined = []
-    for cell in cells:
-        outside, inside = cell & ~(adj[v] | 1 << v), cell & adj[v]
-        if outside:
-            refined.append(outside)
-        if inside:
-            refined.append(inside)
-    return refined
-
-
-def isometries(
-    g: Graph,
-    h: Graph,
-    visit: Callable[[list[int]], bool | None],
-    colors: Sequence[Hashable] | None = None,
-    h_colors: Sequence[Hashable] | None = None,
-) -> bool:
-    """Pass every isomorphism from ``g`` onto ``h`` to ``visit``.
-
-    Both sides keep their unplaced vertices as paired ordered cells, first
-    grouped by color (``h_colors`` on ``h``, by default ``colors``) and
-    degree.  The lowest vertex ``v`` of the smallest ``g`` cell goes to each
-    ``w`` of the paired cell with ``v``'s neighbour count in every cell
-    pair; :func:`split_cells` then splits both sides.  ``visit`` gets the
-    image list, which the search reuses (copy it to keep it), and returning
-    True from it stops the search and makes this return True.  A step is an
-    image tried, or ``n`` per visit.
-    """
-    n = g.n
-    if h.n != n:
-        return False
-    colors = [0] * n if colors is None else colors
-    h_colors = colors if h_colors is None else h_colors
-    keys = sorted({(colors[v], g.degree(v)) for v in range(n)})
-    g_cells = [sum(1 << v for v in range(n) if (colors[v], g.degree(v)) == key) for key in keys]
-    h_cells = [sum(1 << w for w in range(n) if (h_colors[w], h.degree(w)) == key) for key in keys]
-    if [cell.bit_count() for cell in g_cells] != [cell.bit_count() for cell in h_cells]:
-        return False
-    image = [-1] * n
-    charge = StepBudget("isometry").charge
-
-    def extend(g_cells: list[int], h_cells: list[int]) -> bool | None:
-        if not g_cells:
-            charge(n)
-            return visit(image)
-        sizes = [cell.bit_count() for cell in g_cells]
-        i = sizes.index(min(sizes))
-        v = (g_cells[i] & -g_cells[i]).bit_length() - 1
-        counts = [(g.adj[v] & cell).bit_count() for cell in g_cells]
-        for w in _bits(h_cells[i]):
-            charge(1)
-            if [(h.adj[w] & cell).bit_count() for cell in h_cells] == counts:
-                image[v] = w
-                if extend(split_cells(g_cells, g.adj, v), split_cells(h_cells, h.adj, w)):
-                    return True
-        return False
-
-    return bool(extend(g_cells, h_cells))
 
 
 class ClassSymmetries(NamedTuple):
@@ -260,6 +191,7 @@ def coloring_from_resolving_set(g: Graph, landmarks: Iterable[int]) -> Coloring:
 
     Raises:
         DisconnectedError: on disconnected input.
+        GraphError: on a landmark outside ``0..n-1``.
         NotResolvingError: when the vertex set does not resolve the graph,
             since the guarantee only holds for resolving sets.
     """

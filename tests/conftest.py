@@ -40,14 +40,10 @@ def order7_path() -> str:
 @pytest.fixture
 def errata_withheld(monkeypatch):
     """The catalogs built from the paper's rows alone: ``catalog.ERRATA``
-    emptied, with the instantiation cache cleared on the way in and out."""
+    emptied."""
     from symbreak import catalog
 
-    catalog.instantiate_families.cache_clear()
     monkeypatch.setattr(catalog, "ERRATA", {})
-    yield
-    monkeypatch.undo()
-    catalog.instantiate_families.cache_clear()
 
 
 def _data_graphs(name: str) -> list[Graph]:

@@ -122,11 +122,9 @@ class TestInstantiation:
 
         monkeypatch.setattr(catalog, "construct_family", counted)
         for n in range(max(5, theorem.min_order), 13):
-            catalog.instantiate_families.cache_clear()
             built.clear()
             instances = instantiate_families(theorem, n)
             assert len(built) == sum(len(inst.matches) for inst in instances), n
-        catalog.instantiate_families.cache_clear()
 
     @pytest.mark.parametrize("theorem", list(TheoremId), ids=lambda t: t.value)
     def test_instances_equal_those_of_building_every_member(self, theorem):
@@ -197,11 +195,9 @@ class TestInstantiation:
         found = []
         for text in SYMMETRIC_INPUTS:
             g = parse_graph6(text) if text[0] == "I" else construct_family(parse_expression(text))
-            catalog.instantiate_families.cache_clear()  # a cold cache, as in one CLI run
             for theorem in TheoremId:
                 if g.n >= theorem.min_order:
                     found += [m.expression for m in family_matches(theorem, g)]
-        catalog.instantiate_families.cache_clear()
         assert found == ["K8", "K(4,4)", "K9", "E11"]
         assert len(built) == 4
 

@@ -34,7 +34,7 @@ from symbreak import (
     write_graph6,
 )
 import symbreak
-from symbreak import isomorphism
+from symbreak import isomorphism, symmetry
 from symbreak.catalog import TheoremId, instantiate_families
 from symbreak.isomorphism import (
     _canonical_masks,
@@ -341,10 +341,11 @@ class TestEnumeration:
         assert sum(is_connected(graph_from_pair_mask(8, mask)) for mask in masks) == 11117
 
     @pytest.mark.parametrize("n", range(6))
-    def test_one_neighbourhood_per_orbit_of_vertex_subsets(self, n):
+    def test_subsets_meet_every_orbit_with_distinct_twin_class_counts(self, n):
         # over every labelled graph of order n, the subsets the generator
         # tries with a size floor ``least`` meet each orbit of Aut(g) on the
-        # vertex subsets of at least ``least`` vertices exactly once
+        # vertex subsets of at least ``least`` vertices, and no two of them
+        # take as many vertices from every twin class
         for mask in range(1 << (n * (n - 1) // 2)):
             g = graph_from_pair_mask(n, mask)
             perms = brute_automorphisms(g)
@@ -353,10 +354,26 @@ class TestEnumeration:
                 return min(sum(1 << p[v] for v in range(n) if subset >> v & 1) for p in perms)
 
             orbits = {orbit_min(subset) for subset in range(1 << n)}
+            classes = {
+                sum(1 << v for v in range(n) if g.adj[u] & ~(1 << v) == g.adj[v] & ~(1 << u))
+                for u in range(n)
+            }
             for least in sorted({0, 1, n // 2, n}):
-                tried = sorted(orbit_min(subset) for subset in _orbit_subsets(g, least))
-                expected = sorted(m for m in orbits if m.bit_count() >= least)
-                assert tried == expected, (mask, least)
+                tried = list(_orbit_subsets(g.adj, least))
+                met = {orbit_min(subset) for subset in tried}
+                assert met == {m for m in orbits if m.bit_count() >= least}, (mask, least)
+                counts = {tuple((subset & cls).bit_count() for cls in classes) for subset in tried}
+                assert len(counts) == len(tried), (mask, least)
+
+    def test_generation_lists_no_automorphism_group(self, monkeypatch):
+        def refuse(g):
+            raise AssertionError("generation listed an automorphism group")
+
+        for module in (symmetry, isomorphism):  # wherever the name is bound
+            monkeypatch.setattr(module, "class_symmetries", refuse, raising=False)
+        _canonical_masks.cache_clear()
+        counts = [len(_canonical_masks(n)) for n in range(1, 8)]
+        assert counts == [1, 2, 4, 11, 34, 156, 1044]
 
     def test_importing_the_cli_loads_no_numpy(self):
         src = os.path.dirname(os.path.dirname(symbreak.__file__))

@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from symbreak import (
     DisconnectedError,
+    GraphError,
     OrderLimitError,
     broom_tree,
     build_graph,
@@ -31,6 +32,11 @@ from oracles import naive_metric_dimension, tree_metric_dimension
 class TestIsResolving:
     def test_path_endpoint_resolves(self):
         assert is_resolving(path_graph(4), [0])
+
+    @pytest.mark.parametrize("landmarks, named", [([-1], -1), ([5], 5), ([0, 3, 4], 3)])
+    def test_rejects_landmarks_outside_the_graph(self, landmarks, named):
+        with pytest.raises(GraphError, match=rf"landmark {named} is outside 0\.\.2"):
+            is_resolving(path_graph(3), landmarks)
 
     def test_single_vertex_does_not_resolve_c4(self):
         assert not is_resolving(cycle_graph(4), [0])

@@ -36,7 +36,8 @@ from symbreak import (
 from symbreak.graphs import DisconnectedError, GraphError
 from symbreak.expressions import parse_expression
 from symbreak.graphs import construct_family
-from symbreak.symmetry import class_symmetries, isometries
+from symbreak.isomorphism import isometries
+from symbreak.symmetry import class_symmetries
 
 from conftest import graphs, graphs_with_permutation, relabel
 from oracles import brute_automorphisms, brute_distinguishing_number
@@ -364,6 +365,10 @@ class TestColoringFromResolvingSet:
     def test_rejects_disconnected(self):
         with pytest.raises(DisconnectedError):
             coloring_from_resolving_set(disjoint_union(complete_graph(2), complete_graph(1)), [0])
+
+    def test_rejects_landmarks_outside_the_graph(self):
+        with pytest.raises(GraphError, match=r"landmark -1 is outside 0\.\.2"):
+            coloring_from_resolving_set(path_graph(3), [-1])
 
 
 class TestExhaustiveSmallOrderInvariants:
