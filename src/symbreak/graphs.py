@@ -125,33 +125,32 @@ class Graph(_GraphFields):
 
     @cached_property
     def _connected(self) -> bool:
-        # one breadth-first row from vertex 0, cached since the solvers each ask again
-        return self.n <= 1 or INFINITY not in _bfs_row(self.adj, self.n, 0)
+        # one flood from vertex 0, cached since the solvers each ask again
+        return self.n <= 1 or sum(_layers_from(self.adj, 1)) == (1 << self.n) - 1
 
     @cached_property
-    def _distance_matrix(self) -> tuple[tuple[float, ...], ...]:
-        return tuple(_bfs_row(self.adj, self.n, src) for src in range(self.n))
+    def _layers(self) -> tuple[tuple[int, ...], ...]:
+        # per source, the vertex masks at distance 0, 1, ... up to its eccentricity
+        return tuple(_layers_from(self.adj, 1 << s) for s in range(self.n))
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"Graph(n={self.n}, edges={self.edges()})"
 
 
-def _bfs_row(adj: Sequence[int], n: int, src: int) -> tuple[float, ...]:
-    dist: list[float] = [INFINITY] * n
-    dist[src] = 0
-    seen = 1 << src
-    frontier = 1 << src
-    d = 0
-    while frontier:
+def _layers_from(adj: Sequence[int], seen: int) -> tuple[int, ...]:
+    """Breadth-first layers from the vertex set ``seen``, starting with itself."""
+    layers, frontier = [seen], seen
+    while True:
         reach = 0
-        for v in _bits(frontier):
-            reach |= adj[v]
+        while frontier:
+            low = frontier & -frontier
+            reach |= adj[low.bit_length() - 1]
+            frontier ^= low
         frontier = reach & ~seen
+        if not frontier:
+            return tuple(layers)
         seen |= frontier
-        d += 1
-        for v in _bits(frontier):
-            dist[v] = d
-    return tuple(dist)
+        layers.append(frontier)
 
 
 def _check_order(n: int) -> None:
@@ -239,8 +238,11 @@ def blow_up(g: Graph, parts: Sequence[tuple[int, str]]) -> Graph:
 
 
 def shortest_path_matrix(g: Graph) -> tuple[tuple[float, ...], ...]:
-    """BFS hop distances; ``INFINITY`` across components, zero diagonal."""
-    return g._distance_matrix
+    """Hop distances read off the layer table; ``INFINITY`` across components."""
+    return tuple(
+        tuple(next((d for d, layer in enumerate(layers) if layer >> v & 1), INFINITY) for v in range(g.n))
+        for layers in g._layers
+    )
 
 
 def is_connected(g: Graph) -> bool:
@@ -251,9 +253,7 @@ def diameter(g: Graph) -> int:
     """Largest pairwise distance.  Raises on disconnected input."""
     if not is_connected(g):
         raise DisconnectedError("diameter is undefined for disconnected graphs")
-    if g.n <= 1:
-        return 0
-    return int(max(max(row) for row in g._distance_matrix))
+    return max(map(len, g._layers), default=1) - 1
 
 
 # ---------------------------------------------------------------------------
@@ -417,11 +417,14 @@ def family_degrees(spec: FamilySpec) -> tuple[int, ...]:
 
 
 def family_order(spec: FamilySpec) -> int:
-    """The order of :func:`construct_family` ``(spec)``, read off the spec as
-    the number of its :func:`family_degrees`; a leaf its builder rejects
-    still gets a number, and a blow-up whose base or piece count the
-    builders reject raises :class:`GraphError`."""
-    return len(family_degrees(spec))
+    """The order of :func:`construct_family` ``(spec)``, read off the spec
+    without building anything, so a spec its builders reject still gets one."""
+    leaf = LEAF_KINDS.get(spec.kind)
+    if leaf is not None:
+        return len(leaf.degrees(*spec.params))
+    if spec.kind == "blow_up":
+        return sum(size for size, _ in spec.pieces)
+    return sum(map(family_order, spec.parts))
 
 
 def construct_family(spec: FamilySpec) -> Graph:

@@ -32,6 +32,7 @@ search; larger orders enter through graph6 files.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from functools import lru_cache
 from typing import Callable, Hashable, Iterator, NamedTuple, Sequence
 
@@ -98,9 +99,12 @@ def isometries(
         return False
     colors = [0] * n if colors is None else colors
     h_colors = colors if h_colors is None else h_colors
-    keys = sorted({(colors[v], g.degree(v)) for v in range(n)})
-    g_cells = [sum(1 << v for v in range(n) if (colors[v], g.degree(v)) == key) for key in keys]
-    h_cells = [sum(1 << w for w in range(n) if (h_colors[w], h.degree(w)) == key) for key in keys]
+    g_keyed, h_keyed = defaultdict(int), defaultdict(int)
+    for v in range(n):  # each side's (color, degree) cells in one pass
+        g_keyed[colors[v], g.adj[v].bit_count()] |= 1 << v
+        h_keyed[h_colors[v], h.adj[v].bit_count()] |= 1 << v
+    keys = sorted(g_keyed)
+    g_cells, h_cells = [g_keyed[key] for key in keys], [h_keyed.get(key, 0) for key in keys]
     if [cell.bit_count() for cell in g_cells] != [cell.bit_count() for cell in h_cells]:
         return False
     image = [-1] * n
@@ -114,11 +118,12 @@ def isometries(
         i = sizes.index(min(sizes))
         v = (g_cells[i] & -g_cells[i]).bit_length() - 1
         counts = [(g.adj[v] & cell).bit_count() for cell in g_cells]
+        g_split = split_cells(g_cells, g.adj, v)
         for w in _bits(h_cells[i]):
-            charge(1)
+            charge()
             if [(h.adj[w] & cell).bit_count() for cell in h_cells] == counts:
                 image[v] = w
-                if extend(split_cells(g_cells, g.adj, v), split_cells(h_cells, h.adj, w)):
+                if extend(g_split, split_cells(h_cells, h.adj, w)):
                     return True
         return False
 

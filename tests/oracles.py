@@ -8,8 +8,9 @@ any symmetry reduction, and subset searches scan the full powerset.
 from __future__ import annotations
 
 import itertools
+import math
 
-from symbreak import Graph, shortest_path_matrix
+from symbreak import Graph
 
 
 def brute_automorphisms(g: Graph) -> list[tuple[int, ...]]:
@@ -40,9 +41,22 @@ def brute_distinguishing_number(g: Graph) -> int:
     raise AssertionError("n distinct colors always distinguish")
 
 
+def naive_distances(g: Graph) -> list[list[float]]:
+    """All-pairs hop distances by Floyd-Warshall over the adjacency bits,
+    ``math.inf`` across components."""
+    n = g.n
+    dist = [[0 if u == v else 1 if g.adj[u] >> v & 1 else math.inf for v in range(n)] for u in range(n)]
+    for k in range(n):
+        for u in range(n):
+            for v in range(n):
+                if dist[u][k] + dist[k][v] < dist[u][v]:
+                    dist[u][v] = dist[u][k] + dist[k][v]
+    return dist
+
+
 def naive_metric_dimension(g: Graph) -> tuple[int, tuple[int, ...]]:
     """Plain subset enumeration, ascending by size, lexicographic inside."""
-    dist = shortest_path_matrix(g)
+    dist = naive_distances(g)
     for size in range(g.n + 1):
         for subset in itertools.combinations(range(g.n), size):
             vectors = {tuple(dist[v][s] for s in subset) for v in range(g.n)}

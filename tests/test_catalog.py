@@ -201,6 +201,23 @@ class TestInstantiation:
         assert found == ["K8", "K(4,4)", "K9", "E11"]
         assert len(built) == 4
 
+    def test_classifying_c10_builds_each_blow_up_base_once(self, monkeypatch):
+        # C10 is in no row; only the P4 bases of Dn3 rows 39-42 are built, to
+        # read their degrees, and each once since their orders need no build
+        from symbreak import catalog, graphs
+
+        built = []
+        build = graphs.construct_family
+
+        def counted(spec):
+            built.append(spec.kind)
+            return build(spec)
+
+        monkeypatch.setattr(graphs, "construct_family", counted)
+        monkeypatch.setattr(catalog, "construct_family", counted)
+        classify_graph(cycle_graph(10))
+        assert built == ["path"] * 4
+
     def test_d_n_minus_1_at_order_4(self):
         pool = catalog_graphs(TheoremId.DN1, 4)
         expected = [

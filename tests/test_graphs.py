@@ -319,6 +319,9 @@ class TestDistances:
         g = disjoint_union(path_graph(3), cycle_graph(4))
         assert not is_connected(g) and is_connected(cycle_graph(64))
         assert "_distance_matrix" not in vars(g)
+        assert "_layers" not in vars(g)
+        shortest_path_matrix(g)
+        assert "_layers" in vars(g)
 
 
 @given(graphs(max_n=7))

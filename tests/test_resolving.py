@@ -1,6 +1,8 @@
 """Resolving sets and exact metric dimension."""
 
 import itertools
+import math
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -22,11 +24,12 @@ from symbreak import (
     is_resolving,
     metric_dimension,
     path_graph,
+    shortest_path_matrix,
 )
 from symbreak.twins import twin_classes
 
 from conftest import graphs
-from oracles import naive_metric_dimension, tree_metric_dimension
+from oracles import naive_distances, naive_metric_dimension, tree_metric_dimension
 
 
 class TestIsResolving:
@@ -122,6 +125,47 @@ def test_full_vertex_set_resolves_and_supersets_stay_resolving(g):
     assert is_resolving(g, range(g.n))
     witness = metric_dimension(g).witness
     assert is_resolving(g, set(witness) | {0})
+
+
+@st.composite
+def sparse_or_dense_graphs(draw, max_n: int = 40):
+    """G(n, p) graphs over a spread of densities, some laid over a path or a
+    random recursive tree, so that both disconnected graphs and connected
+    ones of large diameter occur."""
+    n = draw(st.integers(min_value=1, max_value=max_n))
+    p = draw(st.sampled_from([0.0, 0.05, 0.1, 0.2, 0.4, 0.7]))
+    backbone = draw(st.sampled_from(["none", "path", "tree"]))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    edges = [pair for pair in itertools.combinations(range(n), 2) if rng.random() < p]
+    if backbone != "none":
+        edges += [(v, v - 1 if backbone == "path" else rng.randrange(v)) for v in range(1, n)]
+    return build_graph(n, edges)
+
+
+@given(sparse_or_dense_graphs(), st.data())
+@settings(max_examples=60, deadline=None)
+def test_distance_answers_agree_with_floyd_warshall(g, data):
+    dist = naive_distances(g)
+    assert shortest_path_matrix(g) == tuple(map(tuple, dist))
+    if math.inf in dist[0]:
+        assert not is_connected(g)
+        with pytest.raises(DisconnectedError):
+            diameter(g)
+        with pytest.raises(DisconnectedError):
+            is_resolving(g, [0])
+        return
+    assert is_connected(g) and diameter(g) == max(map(max, dist))
+    # every landmark pair on small graphs, so that resolving by far layers shows
+    sets = list(itertools.combinations(range(g.n), 1 if g.n > 16 else 2))
+    vertices = st.integers(min_value=0, max_value=g.n - 1)
+    sets += [data.draw(st.sets(vertices, max_size=size)) for size in (2, 4, g.n)]
+    for landmarks in sets:
+        vectors = {tuple(row[s] for s in sorted(landmarks)) for row in dist}
+        assert is_resolving(g, landmarks) == (len(vectors) == g.n), sorted(landmarks)
+    if g.n <= 9:
+        found = metric_dimension(g)
+        assert found.dim == naive_metric_dimension(g)[0]
+        assert len({tuple(row[s] for s in found.witness) for row in dist}) == g.n
 
 
 @given(graphs(min_n=2, max_n=6))
