@@ -1,32 +1,26 @@
-"""Command-line interface.
+"""Command-line interface: ``symbreak analyze|verify|enumerate|construct``.
 
-Subcommands::
-
-    symbreak analyze INPUT        invariants and catalog matches of one graph
-    symbreak verify TARGET        exhaustive checks (bound, construction, Dn,
-                                  Dn1, Dn2, Dn3); the catalogs are checked
-                                  as the paper prints them unless --errata
-    symbreak enumerate            one CSV row per isomorphism class
-    symbreak construct EXPR       build a family expression, print graph6
-
-INPUT is either a graph6 line or a family expression (see the grammar in
-``symbreak --help`` or :mod:`symbreak.expressions`).  Exit codes: 0 when
-everything passed, 1 when a verification failed, 2 on unparsable input, a
---jobs below 1, a --max below 2, an order below 1 or an order or range
-that selects nothing, 3 when a graph is beyond the supported bounds (an order
-above the enumeration cap, a --max above 9, or an isometry, coloring,
-canonical or hitting-set search over its step budget, named in the message),
-141 when the reader closes stdout.
+Every command, with its positionals, options and defaults, is one row of
+``_COMMANDS``: ``_parse`` reads argv against it and ``symbreak --help``
+prints it.  INPUT is either a graph6 line or a family expression (see the
+grammar in ``symbreak --help`` or :mod:`symbreak.expressions`).  Exit codes:
+0 when everything passed or help was printed, 1 when a verification failed,
+2 on a malformed command line, unparsable input, a --jobs below 1, a --max
+below 2, an order below 1 or an order or range that selects nothing, 3 when
+a graph is beyond the supported bounds (an order above the enumeration cap,
+a --max above 9, or an isometry, coloring, canonical or hitting-set search
+over its step budget, named in the message), 141 when the reader closes
+stdout.
 """
 
 from __future__ import annotations
 
-import argparse
 import csv
 import io
 import json
 import os
 import sys
+from types import SimpleNamespace
 
 from .catalog import (
     CONSTRUCTION_MAX_DIM,
@@ -116,7 +110,7 @@ def _jobs(value: int) -> int:
     return value
 
 
-def cmd_analyze(args: argparse.Namespace) -> int:
+def cmd_analyze(args: SimpleNamespace) -> int:
     g = _read_graph(args.input)
     report = classify_graph(g)
     if args.format == "json":
@@ -139,7 +133,7 @@ def cmd_analyze(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_construct(args: argparse.Namespace) -> int:
+def cmd_construct(args: SimpleNamespace) -> int:
     spec = parse_expression(args.expression)
     g = construct_family(spec)
     if args.format == "json":
@@ -158,11 +152,13 @@ def cmd_construct(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def cmd_verify(args: argparse.Namespace) -> int:
+def cmd_verify(args: SimpleNamespace) -> int:
     jobs = _jobs(args.jobs)
-    file_graphs = load_graph6_file(args.graph6_file) if args.graph6_file else None
     results: list[VerifyReport | dict] = []
     if args.target == "construction":
+        for flag, value in (("--n", args.n), ("--graph6-file", args.graph6_file)):
+            if value is not None:
+                raise UsageError(f"verify construction takes no {flag}; its size is --max")
         if args.max < 2:
             raise UsageError(f"--max must be at least 2, got {args.max}")
         if args.max > CONSTRUCTION_MAX_DIM:
@@ -172,6 +168,7 @@ def cmd_verify(args: argparse.Namespace) -> int:
             )
         results.append(check_construction(args.max))
     else:
+        file_graphs = load_graph6_file(args.graph6_file) if args.graph6_file else None
         if args.n is None:
             raise UsageError("verify needs --n (for example --n 4 or --n 1..6)")
         orders = _parse_order_range(args.n)
@@ -217,8 +214,10 @@ def cmd_verify(args: argparse.Namespace) -> int:
     )
 
 
-def cmd_enumerate(args: argparse.Namespace) -> int:
+def cmd_enumerate(args: SimpleNamespace) -> int:
     jobs = _jobs(args.jobs)
+    if args.n is None:
+        raise UsageError("enumerate needs --n (for example --n 4)")
     if args.n < 1:
         raise UsageError(f"--n must be at least 1, got {args.n}")
     file_graphs = load_graph6_file(args.graph6_file) if args.graph6_file else None
@@ -252,61 +251,116 @@ def cmd_enumerate(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="symbreak",
-        description="Exact metric-dimension and distinguishing-number toolkit.",
-        epilog=_GRAMMAR,
-        formatter_class=argparse.RawDescriptionHelpFormatter,
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
+_FORMATS = ("json", "text")
+_HELP = ("-h", "--help")
 
-    p_analyze = sub.add_parser("analyze", help="analyze one graph6 line or family expression")
-    p_analyze.add_argument("input")
-    p_analyze.add_argument("--format", choices=["json", "text"], default="json")
-    p_analyze.set_defaults(func=cmd_analyze)
+#: Every command as (handler, positionals, options, help): a positional is
+#: (name, kind) and an option (name, kind, default), where a kind is int,
+#: str, a tuple of the accepted values or, for a flag, bool.
+_COMMANDS = {
+    "analyze": (cmd_analyze, [("input", str)], [("--format", _FORMATS, "json")],
+                "invariants and catalog matches of one graph6 line or family expression"),
+    "verify": (cmd_verify, [("target", ("bound", "construction", "Dn", "Dn1", "Dn2", "Dn3"))],
+               [("--n", str, None), ("--max", int, 4), ("--graph6-file", str, None),
+                ("--format", _FORMATS, "json"), ("--jobs", int, 1), ("--errata", bool, False)],
+               "run an exhaustive check over the orders --n (4 or 1..6), in --graph6-file if\n"
+               "given; construction checks D = a, dim = b for 1 <= a < b <= --max; --errata\n"
+               "checks Dn2 and Dn3 amended with their errata rows, not the paper's rows alone"),
+    "enumerate": (cmd_enumerate, [],
+                  [("--n", int, None), ("--connected", bool, False), ("--d", int, None),
+                   ("--dim", int, None), ("--graph6-file", str, None),
+                   ("--format", ("csv", "json"), "csv"), ("--jobs", int, 1)],
+                  "list the isomorphism classes of order --n, or the graphs of --graph6-file,\n"
+                  "with D and dim; --d and --dim keep the rows with that value"),
+    "construct": (cmd_construct, [("expression", str)], [("--format", ("text", "json"), "text")],
+                  "build a family expression and print it as graph6"),
+}
 
-    p_verify = sub.add_parser("verify", help="run an exhaustive check")
-    p_verify.add_argument(
-        "target",
-        choices=["bound", "construction", "Dn", "Dn1", "Dn2", "Dn3"],
-    )
-    p_verify.add_argument("--n", help="order or inclusive range, e.g. 4 or 1..6")
-    p_verify.add_argument("--max", type=int, default=4, help="construction: largest dimension")
-    p_verify.add_argument("--graph6-file", help="scan graphs from this file instead")
-    p_verify.add_argument("--format", choices=["json", "text"], default="json")
-    p_verify.add_argument("--jobs", type=int, default=1)
-    p_verify.add_argument(
-        "--errata",
-        action="store_true",
-        help="Dn2, Dn3: check the catalog amended with its errata rows "
-        "instead of the paper's rows alone",
-    )
-    p_verify.set_defaults(func=cmd_verify)
 
-    p_enum = sub.add_parser("enumerate", help="list isomorphism classes with D and dim")
-    p_enum.add_argument("--n", type=int, required=True)
-    p_enum.add_argument("--connected", action="store_true")
-    p_enum.add_argument("--d", type=int, help="keep rows with this distinguishing number")
-    p_enum.add_argument("--dim", type=int, help="keep rows with this metric dimension")
-    p_enum.add_argument("--graph6-file", help="rows from this file instead of enumeration")
-    p_enum.add_argument("--format", choices=["csv", "json"], default="csv")
-    p_enum.add_argument("--jobs", type=int, default=1)
-    p_enum.set_defaults(func=cmd_enumerate)
+def _shape(name: str, kind: object) -> str:
+    if isinstance(kind, tuple):
+        return "|".join(kind)
+    return "" if kind is bool else name.lstrip("-").upper()
 
-    p_construct = sub.add_parser("construct", help="build a family expression")
-    p_construct.add_argument("expression")
-    p_construct.add_argument("--format", choices=["text", "json"], default="text")
-    p_construct.set_defaults(func=cmd_construct)
 
-    return parser
+def cmd_help(args: None) -> int:
+    print("usage: symbreak COMMAND ARGUMENTS [OPTIONS]\n\nExact metric-dimension and "
+          "distinguishing-number toolkit.\nAn option may be shortened to a unique prefix.")
+    for command, (_, positionals, options, about) in _COMMANDS.items():
+        print("\nsymbreak", command, *(_shape(name, kind) for name, kind in positionals))
+        print("    " + about.replace("\n", "\n    "))
+        for name, kind, default in options:
+            note = "" if default in (None, False) else f" (default {default})"
+            print(f"    {name} {_shape(name, kind)}".rstrip() + note)
+    print(f"\n{_GRAMMAR}", end="")
+    return EXIT_OK
+
+
+def _is_option(word: str) -> bool:
+    return word.startswith("-") and word != "-" and not word[1:2].isdecimal()
+
+
+def _option_name(word: str, names: list[str]) -> str:
+    """The option ``word`` names, exactly or as a unique prefix of a long name."""
+    matches = [name for name in names if word.startswith("--") and name.startswith(word)]
+    if word not in names and len(matches) != 1:
+        kind = "ambiguous" if matches else "unknown"
+        raise UsageError(f"{kind} option {word}; the options are {', '.join(names)}")
+    return word if word in names else matches[0]
+
+
+def _value(name: str, kind: object, text: str) -> object:
+    if isinstance(kind, tuple) and text not in kind:
+        raise UsageError(f"{name} expects one of {', '.join(kind)}, got {text!r}")
+    try:
+        return int(text) if kind is int else text
+    except ValueError:
+        raise UsageError(f"{name} expects an integer, got {text!r}") from None
+
+
+def _parse(argv: list[str]) -> tuple:
+    """The handler ``argv`` names and its arguments, read against ``_COMMANDS``."""
+    command, *rest = argv or [""]
+    if command not in _COMMANDS:
+        if _is_option(command) and _option_name(command.partition("=")[0], list(_HELP)):
+            return cmd_help, None
+        raise UsageError(f"the command must be one of {', '.join(_COMMANDS)}, got {command!r}")
+    handler, positionals, options, _ = _COMMANDS[command]
+    kinds = {name: kind for name, kind, _ in options}
+    values = {name: default for name, _, default in options}
+    free: list[str] = []
+    words = iter(rest)
+    for word in words:
+        if word == "--":
+            free.extend(words)
+        elif not _is_option(word):
+            free.append(word)
+        else:
+            name, given, text = word.partition("=")
+            name = _option_name(name, [*kinds, *_HELP])
+            if name in _HELP:
+                return cmd_help, None
+            flag = kinds[name] is bool
+            if flag and given:
+                raise UsageError(f"{name} takes no value, got {text!r}")
+            if not flag and not given:
+                text = next(words, None)
+                if text is None or _is_option(text):
+                    raise UsageError(f"{name} expects a value")
+            values[name] = flag or _value(name, kinds[name], text)
+    if len(free) != len(positionals):
+        wanted = " ".join(name.upper() for name, _ in positionals) or "no argument"
+        raise UsageError(f"{command} takes {wanted}, got {' '.join(free) or 'none'}")
+    for (name, kind), text in zip(positionals, free):
+        values[name] = _value(f"{command} {name.upper()}", kind, text)
+    args = {name.lstrip("-").replace("-", "_"): value for name, value in values.items()}
+    return handler, SimpleNamespace(**args)
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
-        code = args.func(args)
+        handler, args = _parse(sys.argv[1:] if argv is None else argv)
+        code = handler(args)
         sys.stdout.flush()  # so that a closed pipe raises here, not at exit
         return code
     except BrokenPipeError:

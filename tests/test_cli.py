@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 import symbreak
 from symbreak import broom_tree, construct_family, load_graph6_file, parse_expression, write_graph6
-from symbreak.cli import main
+from symbreak.cli import _COMMANDS, _GRAMMAR, main
 
 from conftest import graphs
 
@@ -141,6 +141,14 @@ class TestVerify:
         assert code == 0
         (report,) = json.loads(out)
         assert report["scanned"] == 3 and report["verdict"] == "PASS"
+
+    @pytest.mark.parametrize("flag", ["--n", "--graph6-file"])
+    def test_construction_refuses_n_and_graph6_file(self, capsys, order7_path, flag):
+        # the construction pairs are fixed by --max: both flags used to be ignored
+        value = {"--n": "5", "--graph6-file": order7_path}[flag]
+        code, out, err = run_cli(capsys, "verify", "construction", "--max", "3", flag, value)
+        assert code == 2 and out == ""
+        assert f"error: verify construction takes no {flag}" in err
 
     def test_construction_up_to_37_vertices(self, capsys):
         # construction_graph(1, 7) is the 37-vertex broom tree T8
@@ -457,6 +465,69 @@ class TestConstructCommand:
         assert payload["n"] == 5 and payload["edges"] == 7
 
 
+class TestUsage:
+    @pytest.mark.parametrize(
+        "argv, name",
+        [
+            pytest.param(["analyze", "C5", "--bogus"], "unknown option --bogus", id="unknown-option"),
+            pytest.param(["--bogus"], "unknown option --bogus", id="unknown-top-level-option"),
+            # --d is exact, so only the empty name before '=' has two candidates
+            pytest.param(["enumerate", "--n", "4", "--=5"], "ambiguous option --", id="ambiguous"),
+            pytest.param(["verify", "bound", "--n"], "--n expects a value", id="value-missing"),
+            pytest.param(
+                ["verify", "bound", "--n", "--format", "json"], "--n expects a value",
+                id="value-is-an-option",
+            ),
+            pytest.param(["verify", "construction", "--max", "x"], "--max", id="bad-int"),
+            pytest.param(["enumerate", "--n", "four"], "--n", id="bad-int-order"),
+            pytest.param(["analyze", "C5", "--format", "xml"], "--format", id="bad-choice"),
+            pytest.param(["verify", "Dn2", "--n", "5", "--errata=yes"], "--errata", id="flag-value"),
+            pytest.param(["analyze"], "INPUT", id="positional-missing"),
+            pytest.param(["construct", "K3", "K4"], "K4", id="positional-extra"),
+            pytest.param([], "command", id="no-command"),
+            pytest.param(["analyse", "C5"], "analyse", id="unknown-command"),
+            pytest.param(["verify", "Dn4", "--n", "4"], "Dn4", id="unknown-target"),
+            pytest.param(["enumerate"], "enumerate needs --n", id="enumerate-without-n"),
+        ],
+    )
+    def test_usage_errors_exit_2(self, capsys, argv, name):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and name in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["analyze", "P4", "--form", "text"],
+            ["analyze", "P4", "--format=text"],
+            ["analyze", "--format", "json", "P4", "--fo", "text"],
+            ["analyze", "--format", "text", "--", "P4"],
+        ],
+    )
+    def test_accepted_spellings(self, capsys, argv):
+        # a unique prefix, name=value, options on either side, the last one winning, and --
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        assert "D: 2" in out and "dim: 1" in out
+
+    def test_name_equals_value(self, capsys):
+        assert run_cli(capsys, "enumerate", "--n=4") == run_cli(capsys, "enumerate", "--n", "4")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [[flag] for flag in ("-h", "--help", "--he")]
+        + [[command, flag] for command in _COMMANDS for flag in ("-h", "--help")],
+    )
+    def test_help_lists_every_command_and_option(self, capsys, argv):
+        code, out, err = run_cli(capsys, *argv)
+        assert code == 0 and err == ""
+        lines = [line.split() for line in out.splitlines() if line.strip()]
+        for command, (_, _, options, _) in _COMMANDS.items():
+            assert ["symbreak", command] in [words[:2] for words in lines]
+            assert {name for name, _, _ in options} <= {words[0] for words in lines}
+        assert _GRAMMAR in out
+
+
 def child_env() -> dict[str, str]:
     """The environment for a child interpreter that imports the package from
     its own source root, however pytest found it."""
@@ -478,24 +549,17 @@ def test_console_entry_point_runs():
     assert json.loads(result.stdout)["D"] == 3
 
 
-def test_cli_import_leaves_multiprocessing_out():
-    # the process pool's module is imported only when --jobs starts a pool
-    result = subprocess.run(
-        [sys.executable, "-c", "import sys, symbreak.cli; print('multiprocessing' in sys.modules)"],
-        capture_output=True,
-        text=True,
-        env=child_env(),
-        timeout=120,
-    )
-    assert result.returncode == 0, result.stderr
-    assert result.stdout == "False\n"
-
-
 def test_cli_import_leaves_dataclasses_and_inspect_out():
-    # start-up cost: dataclasses pulls in inspect, dis, ast and tokenize;
-    # run in a child because pytest itself imports dataclasses
-    heavy = ("dataclasses", "inspect", "multiprocessing")
-    code = f"import sys, symbreak.cli; print([m for m in {heavy!r} if m in sys.modules])"
+    # start-up cost: dataclasses pulls in inspect, dis, ast and tokenize; the
+    # process pool's module comes only when --jobs starts a pool; and the
+    # option table needs neither argparse nor its gettext and locale lookups,
+    # not even to reject a command line.  Run in a child because pytest
+    # itself imports dataclasses.
+    heavy = ("dataclasses", "inspect", "multiprocessing", "argparse", "gettext", "locale")
+    code = (
+        "import sys, symbreak.cli; symbreak.cli.main(['construct', 'C5']); "
+        f"symbreak.cli.main(['--bogus']); print([m for m in {heavy!r} if m in sys.modules])"
+    )
     result = subprocess.run(
         [sys.executable, "-c", code],
         capture_output=True,
@@ -504,7 +568,7 @@ def test_cli_import_leaves_dataclasses_and_inspect_out():
         timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout == "[]\n"
+    assert result.stdout.splitlines()[-1] == "[]"
 
 
 def test_closed_stdout_exits_141_silently():
@@ -581,7 +645,9 @@ def _argv(draw, g6_path, missing_path):
         argv += draw(st.sampled_from([[], ["--format", "json"]]))
     elif command == "verify":
         target = draw(st.sampled_from(["bound", "construction", "Dn", "Dn1", "Dn2", "Dn3", "Dn4"]))
-        argv = [command, target, "--n", draw(_ORDERS)]
+        argv = [command, target]
+        if target != "construction" or draw(st.booleans()):  # construction refuses --n
+            argv += ["--n", draw(_ORDERS)]
         if target == "construction" or draw(st.booleans()):
             argv += ["--max", draw(st.sampled_from(["-5", "0", "1", "2", "3", "x"]))]
         if draw(st.booleans()):
@@ -621,10 +687,7 @@ def test_malformed_input_ends_with_a_documented_exit_code(tmp_path, monkeypatch,
     argv = data.draw(_argv(g6_path, str(tmp_path / "missing.g6")), label="argv")
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
-        try:
-            code = main(argv)
-        except SystemExit as exit_:  # argparse: usage errors and --help
-            code = exit_.code
+        code = main(argv)
     assert code in (0, 1, 2, 3), (code, err.getvalue())
     if code == 1:
         assert argv[0] == "verify" and "FAIL" in out.getvalue()
