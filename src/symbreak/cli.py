@@ -5,12 +5,12 @@ Every command, with its positionals, options and defaults, is one row of
 prints it.  INPUT is either a graph6 line or a family expression (see the
 grammar in ``symbreak --help`` or :mod:`symbreak.expressions`).  Exit codes:
 0 when everything passed or help was printed, 1 when a verification failed,
-2 on a malformed command line, unparsable input, a --jobs below 1, a --max
-below 2, an order below 1 or an order or range that selects nothing, 3 when
-a graph is beyond the supported bounds (an order above the enumeration cap,
-a --max above 9, or an isometry, coloring, canonical or hitting-set search
-over its step budget, named in the message), 141 when the reader closes
-stdout.
+2 on a malformed command line, unparsable input, an option the verify target
+does not read, a --jobs below 1, a --max below 2, an order below 1 or an
+order or range that selects nothing, 3 when a graph is beyond the supported
+bounds (an order above the enumeration cap, a --max above 9, or an
+isometry, coloring, canonical or hitting-set search over its step budget,
+named in the message), 141 when the reader closes stdout.
 """
 
 from __future__ import annotations
@@ -155,6 +155,8 @@ def cmd_construct(args: SimpleNamespace) -> int:
 def cmd_verify(args: SimpleNamespace) -> int:
     jobs = _jobs(args.jobs)
     results: list[VerifyReport | dict] = []
+    if args.errata and args.target in ("bound", "construction"):
+        raise UsageError(f"verify {args.target} takes no --errata; only Dn2 and Dn3 have errata")
     if args.target == "construction":
         for flag, value in (("--n", args.n), ("--graph6-file", args.graph6_file)):
             if value is not None:

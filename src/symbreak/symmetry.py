@@ -16,7 +16,8 @@ label, which is how :func:`symbreak.isomorphism.are_isomorphic` decides
 it.  Only that labelled group is listed, never Aut(G) itself, by the same
 search :func:`symbreak.isomorphism.isometries`, and it is sorted by support
 size so that a non-distinguishing coloring is usually refuted by one of its
-first few elements.
+first few elements.  The search for D checks each element once, when the
+last class it moves gets its color set.
 """
 
 from __future__ import annotations
@@ -52,22 +53,13 @@ class Coloring(_ColoringFields):
         return tuple.__new__(cls, (colors, k))
 
 
-class ClassSymmetries(NamedTuple):
-    """The twin classes of a graph, in order of their least vertex, and the
-    nontrivial label-preserving automorphisms of its twin graph.
-
-    Each element of ``moved`` is ``(support, f)``: ``f`` maps class ``c``
-    to class ``f[c]`` and ``support`` lists the classes it moves.  They are
-    sorted by support size, so fail-fast scans meet small supports first.
-    """
-
-    classes: tuple[tuple[int, ...], ...]
-    moved: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
-
-
 @lru_cache(maxsize=8192)
-def class_symmetries(g: Graph) -> ClassSymmetries:
-    """List the label-preserving automorphisms of the twin graph of ``g``.
+def class_symmetries(g: Graph) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+    """The nontrivial label-preserving automorphisms of the twin graph of
+    ``g`` as ``(support, f)`` pairs, sorted by support size so that
+    fail-fast scans meet small supports first: ``f`` maps class ``c`` (of
+    ``twin_graph(g).classes``) to class ``f[c]``, and ``support`` lists the
+    classes it moves in increasing order.
 
     Raises:
         OrderLimitError: when listing the group goes over its step budget.
@@ -82,7 +74,7 @@ def class_symmetries(g: Graph) -> ClassSymmetries:
 
     isometries(structure.quotient, structure.quotient, keep, structure.labels)
     moved.sort(key=lambda pair: (len(pair[0]), pair[1]))
-    return ClassSymmetries(structure.classes, tuple(moved))
+    return tuple(moved)
 
 
 def is_almost_asymmetric(g: Graph) -> bool:
@@ -95,7 +87,7 @@ def is_almost_asymmetric(g: Graph) -> bool:
     Raises:
         OrderLimitError: as :func:`class_symmetries` does.
     """
-    return not class_symmetries(g).moved
+    return not class_symmetries(g)
 
 
 def vertex_orbits(g: Graph) -> list[list[int]]:
@@ -107,7 +99,7 @@ def vertex_orbits(g: Graph) -> list[list[int]]:
     Raises:
         OrderLimitError: as :func:`class_symmetries` does.
     """
-    classes, moved = class_symmetries(g)
+    classes, moved = twin_graph(g).classes, class_symmetries(g)
     images = [{c, *(f[c] for _, f in moved)} for c in range(len(classes))]
     orbits = {tuple(sorted(v for d in orbit for v in classes[d])) for orbit in images}
     return [list(orbit) for orbit in sorted(orbits)]
@@ -134,9 +126,8 @@ def is_distinguishing(g: Graph, coloring: Coloring) -> bool:
     """
     if len(coloring.colors) != g.n:
         raise GraphError("coloring length does not match the graph order")
-    symmetries = class_symmetries(g)
     color_sets = []
-    for cls in symmetries.classes:
+    for cls in twin_graph(g).classes:
         color_set = 0
         for v in cls:
             bit = 1 << coloring.colors[v]
@@ -144,41 +135,47 @@ def is_distinguishing(g: Graph, coloring: Coloring) -> bool:
                 return False
             color_set |= bit
         color_sets.append(color_set)
-    return _breaks_all(color_sets, symmetries.moved)
+    return _breaks_all(color_sets, class_symmetries(g))
 
 
 def distinguishing_number(g: Graph) -> int:
     """Least number of colors admitting a distinguishing coloring.
 
-    ``k`` counts up from the largest twin class.  Each class gets a set of
-    distinct colors from 1..k rather than a color per vertex, and an
-    assignment is refuted by any labelled automorphism of the twin graph
-    that maps every class's color set onto that of its image.  Only the
-    classes that some labelled automorphism moves can take part in a
-    refutation, so only their color sets vary, the first of them pinned to
-    the lowest colors (renaming colors never changes whether a coloring
-    distinguishes).  The twin classes of G and the classes fixed by every
-    symmetry thus cost nothing, and the rest costs what a search over
-    colorings of the moved classes costs.
+    ``k`` counts up from the largest twin class, and each class gets a set
+    of distinct colors from 1..k.  Only the classes that some labelled
+    automorphism of the twin graph moves can take part in a refutation, so
+    only their sets vary, the first pinned to the lowest colors (renaming
+    colors never changes whether a coloring distinguishes).  A depth-first
+    search gives them their sets one class at a time, each set one step of
+    the coloring budget, and cuts an assignment that some automorphism
+    keeps as soon as the last class it moves gets its set.  So twin classes
+    and classes fixed by every symmetry cost nothing.
     """
     if g.n == 0:
         raise GraphError("distinguishing number needs at least one vertex")
-    symmetries = class_symmetries(g)
-    sizes = [len(cls) for cls in symmetries.classes]
-    # only these classes vary; every other one keeps its lowest colors
-    varied = sorted({c for support, _ in symmetries.moved for c in support})[1:]
+    sizes = [len(cls) for cls in twin_graph(g).classes]
+    moved = class_symmetries(g)
+    searched = sorted({c for support, _ in moved for c in support})
+    # the automorphisms checked when class c gets its set: those whose support ends at c
+    checked: list[list[tuple[tuple[int, ...], tuple[int, ...]]]] = [[] for _ in sizes]
+    for pair in moved:
+        checked[pair[0][-1]].append(pair)
+    color_sets = [(1 << size) - 1 for size in sizes]  # every class's lowest colors
     charge = StepBudget("coloring").charge
-    for k in range(max(sizes), g.n + 1):
-        palettes = [range(k if d in varied else size) for d, size in enumerate(sizes)]
-        choices = [
-            [sum(1 << c for c in combo) for combo in itertools.combinations(palette, size)]
-            for palette, size in zip(palettes, sizes)
-        ]
-        for color_sets in itertools.product(*choices):
+
+    def extend(depth: int, k: int) -> bool:
+        if depth == len(searched):
+            return True
+        c = searched[depth]
+        # the first class is pinned to its lowest colors
+        for combo in itertools.combinations(range(k if depth else sizes[c]), sizes[c]):
             charge()
-            if _breaks_all(color_sets, symmetries.moved):
-                return k
-    raise AssertionError("an all-distinct coloring always distinguishes")
+            color_sets[c] = sum(1 << color for color in combo)
+            if _breaks_all(color_sets, checked[c]) and extend(depth + 1, k):
+                return True
+        return False
+
+    return next(k for k in range(max(sizes), g.n + 1) if extend(0, k))
 
 
 def coloring_from_resolving_set(g: Graph, landmarks: Iterable[int]) -> Coloring:

@@ -41,6 +41,16 @@ def brute_distinguishing_number(g: Graph) -> int:
     raise AssertionError("n distinct colors always distinguish")
 
 
+def multipartite_distinguishing_number(s: int, m: int) -> int:
+    """D(K(s^m)) = min{k : C(k, s) >= m}; Collins & Trenk, EJC 13 (2006) R16."""
+    return next(k for k in itertools.count(1) if math.comb(k, s) >= m)
+
+
+def cycle_distinguishing_number(n: int) -> int:
+    """D(C_n) is 3 for n = 3, 4, 5 and 2 from n = 6; Albertson & Collins, EJC 3 (1996) R18."""
+    return 3 if n <= 5 else 2
+
+
 def naive_distances(g: Graph) -> list[list[float]]:
     """All-pairs hop distances by Floyd-Warshall over the adjacency bits,
     ``math.inf`` across components."""

@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import symbreak
 from symbreak import broom_tree, construct_family, load_graph6_file, parse_expression, write_graph6
 from symbreak.cli import _COMMANDS, _GRAMMAR, main
+from symbreak.symmetry import class_symmetries
 
 from conftest import graphs
 
@@ -71,20 +72,36 @@ class TestAnalyze:
         assert "error" in err
 
     @pytest.mark.parametrize(
-        "expression, stage",
+        "expression, stage, budget",
         [
             # a labelled group of 10! elements, listed one candidate image at a time
-            ("K(2,2,2,2,2,2,2,2,2,2)", "isometry"),
-            # 23 classes; a group of 10,000 elements turns four 5-cycles independently
-            ("U(C5,J(K1,C5),J(K2,C5),J(E2,C5))", "coloring"),
+            ("K(2,2,2,2,2,2,2,2,2,2)", "isometry", 2_000_000),
+            # 23 classes whose 10,000-element group is listed first; the coloring
+            # search then needs 59 color sets, one more than this budget allows
+            ("U(C5,J(K1,C5),J(K2,C5),J(E2,C5))", "coloring", 58),
         ],
     )
-    def test_search_over_its_budget_exits_3(self, capsys, expression, stage):
+    def test_search_over_its_budget_exits_3(self, capsys, monkeypatch, expression, stage, budget):
         start = time.process_time()
+        if stage == "coloring":
+            class_symmetries(build(expression))
+        monkeypatch.setattr("symbreak.graphs.SEARCH_MAX_STEPS", budget)
         code, out, err = run_cli(capsys, "analyze", expression)
         assert time.process_time() - start < 5.0
         assert code == 3 and out == ""
-        assert f"error: {stage} search over its 2,000,000-step budget" in err
+        assert f"error: {stage} search over its {budget:,}-step budget" in err
+
+    @pytest.mark.parametrize(
+        "expression, d",
+        [("K(5,5,5,5,5,5,5,5)", 7), ("U(C5,J(K1,C5),J(K2,C5),J(E2,C5))", 3), ("8*K(2,3)", 4)],
+    )
+    def test_large_labelled_groups_are_answered(self, capsys, expression, d):
+        # labelled groups of 8!, 10,000 and 8! elements; each was refused when
+        # the coloring search scanned every tuple of color sets
+        start = time.process_time()
+        code, out, _ = run_cli(capsys, "analyze", expression)
+        assert time.process_time() - start < 5.0
+        assert code == 0 and json.loads(out)["D"] == d
 
     @pytest.mark.parametrize(
         "expression, d, dim",
@@ -482,6 +499,11 @@ class TestUsage:
             pytest.param(["enumerate", "--n", "four"], "--n", id="bad-int-order"),
             pytest.param(["analyze", "C5", "--format", "xml"], "--format", id="bad-choice"),
             pytest.param(["verify", "Dn2", "--n", "5", "--errata=yes"], "--errata", id="flag-value"),
+            pytest.param(["verify", "bound", "--n", "4", "--errata"], "--errata", id="errata-on-bound"),
+            pytest.param(
+                ["verify", "construction", "--max", "3", "--errata", "--jobs", "1"], "--errata",
+                id="errata-on-construction",
+            ),
             pytest.param(["analyze"], "INPUT", id="positional-missing"),
             pytest.param(["construct", "K3", "K4"], "K4", id="positional-extra"),
             pytest.param([], "command", id="no-command"),

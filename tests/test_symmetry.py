@@ -32,15 +32,22 @@ from symbreak import (
     path_graph,
     shortest_path_matrix,
     vertex_orbits,
+    write_graph6,
 )
 from symbreak.graphs import DisconnectedError, GraphError
 from symbreak.expressions import parse_expression
 from symbreak.graphs import construct_family
 from symbreak.isomorphism import isometries
 from symbreak.symmetry import class_symmetries
+from symbreak.twins import twin_graph
 
 from conftest import graphs, graphs_with_permutation, relabel
-from oracles import brute_automorphisms, brute_distinguishing_number
+from oracles import (
+    brute_automorphisms,
+    brute_distinguishing_number,
+    cycle_distinguishing_number,
+    multipartite_distinguishing_number,
+)
 
 
 def _self_maps(g):
@@ -217,6 +224,22 @@ class TestDistinguishingNumber:
     def test_matches_unreduced_brute_force(self, g):
         assert distinguishing_number(g) == brute_distinguishing_number(g)
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_class_up_to_order_6_matches_brute_force(self, n):
+        # the 208 isomorphism classes of orders 1 to 6
+        for g in enumerate_graphs(n):
+            assert distinguishing_number(g) == brute_distinguishing_number(g), write_graph6(g)
+
+    @pytest.mark.parametrize("s", range(1, 6))
+    def test_complete_multipartite_closed_form(self, s):
+        for m in range(1, 8):
+            g = complete_multipartite_graph(*[s] * m) if m > 1 else empty_graph(s)
+            assert distinguishing_number(g) == multipartite_distinguishing_number(s, m), (s, m)
+
+    def test_cycle_closed_form(self):
+        for n in range(3, 65):
+            assert distinguishing_number(cycle_graph(n)) == cycle_distinguishing_number(n), n
+
     @pytest.mark.parametrize("s", range(1, 21))
     def test_balanced_complete_bipartite_up_to_40_vertices(self, s):
         # two twin classes of size s that the swap exchanges: s colors give
@@ -264,8 +287,7 @@ class TestClassSymmetries:
         # 56 vertices; the twin graph is a star with 10 leaves, whose unlabelled
         # group has 10! elements, but the class sizes tell the leaves apart
         g = construct_family(parse_expression("J(K1,U(K1,K2,K3,K4,K5,K6,K7,K8,K9,K10))"))
-        symmetries = class_symmetries(g)
-        assert len(symmetries.classes) == 11 and symmetries.moved == ()
+        assert len(twin_graph(g).classes) == 11 and class_symmetries(g) == ()
         assert distinguishing_number(g) == 10
 
     def test_twin_free_graphs_above_sixteen_classes(self):
@@ -275,9 +297,9 @@ class TestClassSymmetries:
 
     def test_one_element_per_labelled_automorphism(self):
         # K(2,2,3): the two parts of size 2 swap; the part of size 3 is fixed
-        symmetries = class_symmetries(complete_multipartite_graph(2, 2, 3))
-        assert symmetries.classes == ((0, 1), (2, 3), (4, 5, 6))
-        assert symmetries.moved == (((0, 1), (1, 0, 2)),)
+        g = complete_multipartite_graph(2, 2, 3)
+        assert twin_graph(g).classes == ((0, 1), (2, 3), (4, 5, 6))
+        assert class_symmetries(g) == (((0, 1), (1, 0, 2)),)
 
     def test_isometries_respect_vertex_colors(self):
         images = []
@@ -291,7 +313,7 @@ class TestClassSymmetries:
 class TestSearchBudget:
     """Each search answers with exactly the steps it needs, and one step less
     refuses: C20's group takes 1,580 steps, C64's 16,320 and P64's 256, and
-    U(C5,C5) takes 1,740 color-set assignments over k = 2 and 3."""
+    U(C5,C5) gives 56 color sets to single classes over k = 1, 2 and 3."""
 
     @pytest.mark.parametrize(
         ("g", "steps", "moved"),
@@ -304,19 +326,32 @@ class TestSearchBudget:
     )
     def test_isometry_budget(self, monkeypatch, g, steps, moved):
         monkeypatch.setattr("symbreak.graphs.SEARCH_MAX_STEPS", steps)
-        assert len(class_symmetries.__wrapped__(g).moved) == moved
+        assert len(class_symmetries.__wrapped__(g)) == moved
         monkeypatch.setattr("symbreak.graphs.SEARCH_MAX_STEPS", steps - 1)
         message = f"isometry search over its {steps - 1:,}-step budget"
         with pytest.raises(OrderLimitError, match=message):
             class_symmetries.__wrapped__(g)
 
-    def test_coloring_budget(self, monkeypatch):
-        g = disjoint_union(cycle_graph(5), cycle_graph(5))
+    @pytest.mark.parametrize(
+        ("expression", "d", "steps"),
+        [
+            ("U(C5,C5)", 3, 56),
+            # labelled groups of 8! or 10,000 elements, each element checked
+            # only where the last class it moves gets its color set
+            ("K(2,2,2,2,2,2,2,2)", 5, 2_011),
+            ("K(5,5,5,5,5,5,5,5)", 7, 1_995),
+            ("U(C5,J(K1,C5),J(K2,C5),J(E2,C5))", 3, 59),
+            ("8*K(2,3)", 4, 80),
+        ],
+    )
+    def test_coloring_budget(self, monkeypatch, expression, d, steps):
+        g = construct_family(parse_expression(expression))
         class_symmetries(g)  # listed under the full budget; only the coloring search is bounded
-        monkeypatch.setattr("symbreak.graphs.SEARCH_MAX_STEPS", 1_740)
-        assert distinguishing_number(g) == 3
-        monkeypatch.setattr("symbreak.graphs.SEARCH_MAX_STEPS", 1_739)
-        with pytest.raises(OrderLimitError, match="coloring search over its 1,739-step budget"):
+        monkeypatch.setattr("symbreak.graphs.SEARCH_MAX_STEPS", steps)
+        assert distinguishing_number(g) == d
+        monkeypatch.setattr("symbreak.graphs.SEARCH_MAX_STEPS", steps - 1)
+        message = f"coloring search over its {steps - 1:,}-step budget"
+        with pytest.raises(OrderLimitError, match=message):
             distinguishing_number(g)
 
 
