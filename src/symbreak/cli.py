@@ -155,7 +155,7 @@ def cmd_construct(args: SimpleNamespace) -> int:
 def cmd_verify(args: SimpleNamespace) -> int:
     jobs = _jobs(args.jobs)
     results: list[VerifyReport | dict] = []
-    if args.errata and args.target in ("bound", "construction"):
+    if args.errata and args.target not in ("Dn2", "Dn3"):
         raise UsageError(f"verify {args.target} takes no --errata; only Dn2 and Dn3 have errata")
     if args.target == "construction":
         for flag, value in (("--n", args.n), ("--graph6-file", args.graph6_file)):

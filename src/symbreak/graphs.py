@@ -34,9 +34,9 @@ class OrderLimitError(GraphError):
 #: Steps one exact search may take before it raises OrderLimitError:
 #: ``isometry`` images tried plus ``n`` per bijection visited, ``coloring``
 #: color-set tuples over all k, ``canonical`` the first cell's size at each
-#: node, ``hitting-set`` nodes.  Most taken, in that order: 2,990, 1,740, 60,
-#: 63 on benchmark inputs; 704, 226, 280, 30 on the order-8 classes; 279,998
-#: (the coloring refusal's group), 1,740, 123,136 (C64), 1,608 (~C20) in tests.
+#: node, ``hitting-set`` nodes.  Most taken, in that order: 2,987, 765, 60,
+#: 63 on benchmark inputs; 699, 225, 280, 30 on the order-8 classes; 864,317
+#: (8*K(2,3)'s group), 2,011, 123,136 (C64), 2,923 in tests.
 SEARCH_MAX_STEPS = 2_000_000
 
 

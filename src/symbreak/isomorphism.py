@@ -89,39 +89,55 @@ def isometries(
     grouped by color (``h_colors`` on ``h``, by default ``colors``) and
     degree.  The lowest vertex ``v`` of the smallest ``g`` cell goes to each
     ``w`` of the paired cell with ``v``'s neighbour count in every cell
-    pair; :func:`split_cells` then splits both sides.  ``visit`` gets the
-    image list, which the search reuses (copy it to keep it), and returning
-    True from it stops the search and makes this return True.  A step is an
-    image tried, or ``n`` per visit.
+    pair; :func:`split_cells` then splits both sides.  When ``h`` is ``g``
+    with the same color sequence, the branch that has fixed every vertex
+    so far keeps one list of cells for both sides, so its ``v`` to ``v``
+    child is split once and checked not at all, and it visits the identity
+    as soon as every cell is a singleton.  ``visit`` gets the image list,
+    which the search reuses (copy it to keep it), and returning True from it
+    stops the search and makes this return True.  A step is an image tried,
+    or ``n`` per visit.
     """
     n = g.n
     if h.n != n:
         return False
     colors = [0] * n if colors is None else colors
     h_colors = colors if h_colors is None else h_colors
+    shared = h is g and h_colors is colors  # a self-map search starts on the identity
     g_keyed, h_keyed = defaultdict(int), defaultdict(int)
     for v in range(n):  # each side's (color, degree) cells in one pass
         g_keyed[colors[v], g.adj[v].bit_count()] |= 1 << v
-        h_keyed[h_colors[v], h.adj[v].bit_count()] |= 1 << v
+        if not shared:
+            h_keyed[h_colors[v], h.adj[v].bit_count()] |= 1 << v
     keys = sorted(g_keyed)
-    g_cells, h_cells = [g_keyed[key] for key in keys], [h_keyed.get(key, 0) for key in keys]
-    if [cell.bit_count() for cell in g_cells] != [cell.bit_count() for cell in h_cells]:
+    g_cells = [g_keyed[key] for key in keys]
+    h_cells = g_cells if shared else [h_keyed.get(key, 0) for key in keys]
+    sizes = [cell.bit_count() for cell in g_cells]
+    if not shared and sizes != [cell.bit_count() for cell in h_cells]:
         return False
     image = [-1] * n
     charge = StepBudget("isometry").charge
 
     def extend(g_cells: list[int], h_cells: list[int]) -> bool | None:
-        if not g_cells:
+        identity = h_cells is g_cells  # one list for both sides: every vertex placed is fixed
+        sizes = [cell.bit_count() for cell in g_cells]
+        if not g_cells or identity and max(sizes) == 1:
+            for cell in g_cells:  # the identity branch fixes its singletons too
+                v = cell.bit_length() - 1
+                image[v] = v
             charge(n)
             return visit(image)
-        sizes = [cell.bit_count() for cell in g_cells]
         i = sizes.index(min(sizes))
         v = (g_cells[i] & -g_cells[i]).bit_length() - 1
         counts = [(g.adj[v] & cell).bit_count() for cell in g_cells]
         g_split = split_cells(g_cells, g.adj, v)
         for w in _bits(h_cells[i]):
             charge()
-            if [(h.adj[w] & cell).bit_count() for cell in h_cells] == counts:
+            if identity and w == v:
+                image[v] = v
+                if extend(g_split, g_split):
+                    return True
+            elif [(h.adj[w] & cell).bit_count() for cell in h_cells] == counts:
                 image[v] = w
                 if extend(g_split, split_cells(h_cells, h.adj, w)):
                     return True

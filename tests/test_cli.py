@@ -500,6 +500,8 @@ class TestUsage:
             pytest.param(["analyze", "C5", "--format", "xml"], "--format", id="bad-choice"),
             pytest.param(["verify", "Dn2", "--n", "5", "--errata=yes"], "--errata", id="flag-value"),
             pytest.param(["verify", "bound", "--n", "4", "--errata"], "--errata", id="errata-on-bound"),
+            pytest.param(["verify", "Dn", "--n", "4", "--errata"], "--errata", id="errata-on-Dn"),
+            pytest.param(["verify", "Dn1", "--n", "4", "--errata"], "--errata", id="errata-on-Dn1"),
             pytest.param(
                 ["verify", "construction", "--max", "3", "--errata", "--jobs", "1"], "--errata",
                 id="errata-on-construction",

@@ -3,6 +3,7 @@
 import csv
 import itertools
 import os
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -34,7 +35,7 @@ from symbreak import (
     vertex_orbits,
     write_graph6,
 )
-from symbreak.graphs import DisconnectedError, GraphError
+from symbreak.graphs import DisconnectedError, Graph, GraphError
 from symbreak.expressions import parse_expression
 from symbreak.graphs import construct_family
 from symbreak.isomorphism import isometries
@@ -52,9 +53,24 @@ from oracles import (
 
 def _self_maps(g):
     """Every automorphism of ``g``, collected from the isometry backtrack."""
+    return _isometry_images(g, g)
+
+
+def _isometry_images(g, h, colors=None, limit=None):
+    """The images ``isometries(g, h, ..., colors)`` visits, in visiting
+    order, stopping the search after ``limit`` of them when one is given."""
     found = []
-    isometries(g, g, lambda image: found.append(tuple(image)))
+    isometries(g, h, lambda image: found.append(tuple(image)) or len(found) == limit, colors)
     return found
+
+
+def _shared_and_paired_images(g, colors=None, limit=None):
+    """The color-preserving self-maps of ``g`` from the one-list search
+    (``h is g``) and from the paired search on an equal but distinct graph."""
+    return (
+        _isometry_images(g, g, colors, limit),
+        _isometry_images(g, Graph(g.n, g.adj), colors, limit),
+    )
 
 
 class TestAutomorphismGroup:
@@ -124,6 +140,13 @@ class TestVertexOrbits:
             for v in range(g.n):
                 assert (orbit_of[u] == orbit_of[v]) == any(p[u] == v for p in perms)
 
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_every_class_up_to_order_6_matches_brute_force(self, n):
+        for g in enumerate_graphs(n):
+            perms = brute_automorphisms(g)
+            orbits = {tuple(sorted({p[v] for p in perms})) for v in range(g.n)}
+            assert vertex_orbits(g) == [list(orbit) for orbit in sorted(orbits)], write_graph6(g)
+
 
 class TestIsometries:
     @given(graphs_with_permutation(max_n=6))
@@ -153,6 +176,37 @@ class TestIsometries:
             if relabel(g, image) == h and all(h_colors[image[v]] == colors[v] for v in range(g.n))
         ]
         assert sorted(seen) == expected
+
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_one_list_search_equals_the_paired_search_on_every_class_up_to_order_6(self, n):
+        rng = random.Random(n)
+        for g in enumerate_graphs(n):
+            perms = brute_automorphisms(g)
+            parity = [row.bit_count() % 2 for row in g.adj]
+            two_colors = [rng.randrange(2) for _ in range(g.n)]
+            for colors in (None, parity, two_colors):
+                shared, paired = _shared_and_paired_images(g, colors)
+                kept = [
+                    p for p in perms
+                    if colors is None or all(colors[p[v]] == colors[v] for v in range(g.n))
+                ]
+                assert shared == paired, (write_graph6(g), colors)
+                assert sorted(shared) == kept, (write_graph6(g), colors)
+
+    @given(
+        st.integers(7, 10), st.floats(0.1, 0.9), st.randoms(use_true_random=False), st.booleans()
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_one_list_search_equals_the_paired_search_on_random_graphs(self, n, p, rng, colored):
+        # G(n, p); both searches visit in one order, so a prefix of a large
+        # group (E10 has 10! elements) compares as well as the whole
+        edges = [pair for pair in itertools.combinations(range(n), 2) if rng.random() < p]
+        g = build_graph(n, edges)
+        colors = [rng.randrange(2) for _ in range(n)] if colored else None
+        shared, paired = _shared_and_paired_images(g, colors, limit=1000)
+        assert shared == paired
+        assert len(set(shared)) == len(shared) and shared[0] == tuple(range(n))
+        assert all(relabel(g, image) == g for image in shared)
 
     def test_visit_stops_the_search(self):
         calls = []
@@ -308,19 +362,23 @@ class TestClassSymmetries:
         images.clear()
         isometries(path_graph(3), path_graph(3), lambda f: images.append(tuple(f)), [1, 2, 3])
         assert images == [(0, 1, 2)]
+        images.clear()
+        g = path_graph(3)  # one graph under two colorings maps only by the reflection
+        isometries(g, g, lambda f: images.append(tuple(f)), [1, 2, 3], [3, 2, 1])
+        assert images == [(2, 1, 0)]
 
 
 class TestSearchBudget:
     """Each search answers with exactly the steps it needs, and one step less
-    refuses: C20's group takes 1,580 steps, C64's 16,320 and P64's 256, and
+    refuses: C20's group takes 1,577 steps, C64's 16,317 and P64's 253, and
     U(C5,C5) gives 56 color sets to single classes over k = 1, 2 and 3."""
 
     @pytest.mark.parametrize(
         ("g", "steps", "moved"),
         [
-            (cycle_graph(20), 1_580, 39),
-            (cycle_graph(64), 16_320, 127),
-            (path_graph(64), 256, 1),
+            (cycle_graph(20), 1_577, 39),
+            (cycle_graph(64), 16_317, 127),
+            (path_graph(64), 253, 1),
         ],
         ids=["C20", "C64", "P64"],
     )
