@@ -161,15 +161,18 @@ def cmd_verify(args: SimpleNamespace) -> int:
         for flag, value in (("--n", args.n), ("--graph6-file", args.graph6_file)):
             if value is not None:
                 raise UsageError(f"verify construction takes no {flag}; its size is --max")
-        if args.max < 2:
-            raise UsageError(f"--max must be at least 2, got {args.max}")
-        if args.max > CONSTRUCTION_MAX_DIM:
+        top = 4 if args.max is None else args.max  # the default that --help names
+        if top < 2:
+            raise UsageError(f"--max must be at least 2, got {top}")
+        if top > CONSTRUCTION_MAX_DIM:
             raise OrderLimitError(
-                f"--max {args.max} is above {CONSTRUCTION_MAX_DIM}, the largest whose "
+                f"--max {top} is above {CONSTRUCTION_MAX_DIM}, the largest whose "
                 "construction graphs fit in 64 vertices"
             )
-        results.append(check_construction(args.max))
+        results.append(check_construction(top))
     else:
+        if args.max is not None:
+            raise UsageError(f"verify {args.target} takes no --max; only construction reads it")
         file_graphs = load_graph6_file(args.graph6_file) if args.graph6_file else None
         if args.n is None:
             raise UsageError("verify needs --n (for example --n 4 or --n 1..6)")
@@ -263,11 +266,11 @@ _COMMANDS = {
     "analyze": (cmd_analyze, [("input", str)], [("--format", _FORMATS, "json")],
                 "invariants and catalog matches of one graph6 line or family expression"),
     "verify": (cmd_verify, [("target", ("bound", "construction", "Dn", "Dn1", "Dn2", "Dn3"))],
-               [("--n", str, None), ("--max", int, 4), ("--graph6-file", str, None),
+               [("--n", str, None), ("--max", int, None), ("--graph6-file", str, None),
                 ("--format", _FORMATS, "json"), ("--jobs", int, 1), ("--errata", bool, False)],
                "run an exhaustive check over the orders --n (4 or 1..6), in --graph6-file if\n"
-               "given; construction checks D = a, dim = b for 1 <= a < b <= --max; --errata\n"
-               "checks Dn2 and Dn3 amended with their errata rows, not the paper's rows alone"),
+               "given; construction checks D = a, dim = b for 1 <= a < b <= --max (default 4);\n"
+               "--errata checks Dn2 and Dn3 amended by their errata rows, not the paper's alone"),
     "enumerate": (cmd_enumerate, [],
                   [("--n", int, None), ("--connected", bool, False), ("--d", int, None),
                    ("--dim", int, None), ("--graph6-file", str, None),

@@ -73,8 +73,11 @@ class Graph(_GraphFields):
     Instances are immutable and hashable, so they are safe to share across
     workers and to use as cache keys.  A graph is a tuple subclass, so
     ``len(g) == 2`` and ``g == (n, adj)``; it keeps a ``__dict__`` for its
-    cached properties.  The constructor validates symmetry and
-    irreflexivity; use :func:`build_graph` to create graphs from edge lists.
+    cached properties.  ``Graph(n, adj)`` checks the order and that the
+    rows are in range, loop-free and symmetric, where a graph enters from
+    outside the package; the package's own builders make such rows by
+    construction and skip the checks.  Use :func:`build_graph` to create
+    graphs from edge lists.
     """
 
     def __new__(cls, n: int, adj: tuple[int, ...]) -> Graph:
@@ -137,6 +140,11 @@ class Graph(_GraphFields):
         return f"Graph(n={self.n}, edges={self.edges()})"
 
 
+def _unchecked_graph(n: int, adj: tuple[int, ...]) -> Graph:
+    """A :class:`Graph` of rows valid by construction, without its checks."""
+    return tuple.__new__(Graph, (n, adj))
+
+
 def _layers_from(adj: Sequence[int], seen: int) -> tuple[int, ...]:
     """Breadth-first layers from the vertex set ``seen``, starting with itself."""
     layers, frontier = [seen], seen
@@ -174,13 +182,13 @@ def build_graph(n: int, edges: Iterable[tuple[int, int]]) -> Graph:
             raise GraphError(f"edge endpoint out of range: ({u}, {v}) with n={n}")
         rows[u] |= 1 << v
         rows[v] |= 1 << u
-    return Graph(n, tuple(rows))
+    return _unchecked_graph(n, tuple(rows))
 
 
 def complement(g: Graph) -> Graph:
     """Edge uv present in the result exactly when absent in ``g`` (u != v)."""
     full = (1 << g.n) - 1
-    return Graph(g.n, tuple((full & ~row) & ~(1 << v) for v, row in enumerate(g.adj)))
+    return _unchecked_graph(g.n, tuple((full & ~row) & ~(1 << v) for v, row in enumerate(g.adj)))
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
@@ -189,7 +197,7 @@ def disjoint_union(g: Graph, h: Graph) -> Graph:
     if n > MAX_VERTICES:
         raise GraphError(f"union order {n} exceeds the {MAX_VERTICES}-vertex cap")
     rows = list(g.adj) + [row << g.n for row in h.adj]
-    return Graph(n, tuple(rows))
+    return _unchecked_graph(n, tuple(rows))
 
 
 def join(g: Graph, h: Graph) -> Graph:
@@ -201,7 +209,7 @@ def join(g: Graph, h: Graph) -> Graph:
     h_mask = ((1 << h.n) - 1) << g.n
     rows = [row | h_mask for row in g.adj]
     rows += [(row << g.n) | g_mask for row in h.adj]
-    return Graph(n, tuple(rows))
+    return _unchecked_graph(n, tuple(rows))
 
 
 def blow_up(g: Graph, parts: Sequence[tuple[int, str]]) -> Graph:
@@ -234,7 +242,7 @@ def blow_up(g: Graph, parts: Sequence[tuple[int, str]]) -> Graph:
         outside = sum(masks[j] for j in _bits(g.adj[i]))
         inside = masks[i] if kind == "complete" else 0
         rows += [outside | inside & ~(1 << v) for v in range(offsets[i], offsets[i] + size)]
-    return Graph(total, tuple(rows))
+    return _unchecked_graph(total, tuple(rows))
 
 
 def shortest_path_matrix(g: Graph) -> tuple[tuple[float, ...], ...]:

@@ -36,7 +36,8 @@ from collections import defaultdict
 from functools import lru_cache
 from typing import Callable, Hashable, Iterator, NamedTuple, Sequence
 
-from .graphs import MAX_VERTICES, Graph, OrderLimitError, StepBudget, _bits, is_connected
+from .graphs import (MAX_VERTICES, Graph, OrderLimitError, StepBudget, _bits, _check_order,
+                     _unchecked_graph, is_connected)
 from .twins import twin_classes_of_rows, twin_graph
 
 ENUMERATION_MAX_ORDER = 7
@@ -93,7 +94,8 @@ def isometries(
     with the same color sequence, the branch that has fixed every vertex
     so far keeps one list of cells for both sides, so its ``v`` to ``v``
     child is split once and checked not at all, and it visits the identity
-    as soon as every cell is a singleton.  ``visit`` gets the image list,
+    as soon as every cell is a singleton.  Forced singletons are placed in
+    a loop, not one recursion level each.  ``visit`` gets the image list,
     which the search reuses (copy it to keep it), and returning True from it
     stops the search and makes this return True.  A step is an image tried,
     or ``n`` per visit.
@@ -119,18 +121,27 @@ def isometries(
     charge = StepBudget("isometry").charge
 
     def extend(g_cells: list[int], h_cells: list[int]) -> bool | None:
-        identity = h_cells is g_cells  # one list for both sides: every vertex placed is fixed
-        sizes = [cell.bit_count() for cell in g_cells]
-        if not g_cells or identity and max(sizes) == 1:
-            for cell in g_cells:  # the identity branch fixes its singletons too
-                v = cell.bit_length() - 1
-                image[v] = v
-            charge(n)
-            return visit(image)
-        i = sizes.index(min(sizes))
-        v = (g_cells[i] & -g_cells[i]).bit_length() - 1
-        counts = [(g.adj[v] & cell).bit_count() for cell in g_cells]
-        g_split = split_cells(g_cells, g.adj, v)
+        while True:
+            identity = h_cells is g_cells  # one list for both sides: every vertex placed is fixed
+            sizes = [cell.bit_count() for cell in g_cells]
+            if not g_cells or identity and max(sizes) == 1:
+                for cell in g_cells:  # the identity branch fixes its singletons too
+                    v = cell.bit_length() - 1
+                    image[v] = v
+                charge(n)
+                return visit(image)
+            i = sizes.index(min(sizes))
+            v = (g_cells[i] & -g_cells[i]).bit_length() - 1
+            counts = [(g.adj[v] & cell).bit_count() for cell in g_cells]
+            g_split = split_cells(g_cells, g.adj, v)
+            if sizes[i] > 1:
+                break
+            charge()  # a singleton's one image is placed here, not one level down
+            w = v if identity else h_cells[i].bit_length() - 1
+            if not identity and [(h.adj[w] & cell).bit_count() for cell in h_cells] != counts:
+                return False
+            image[v] = w
+            g_cells, h_cells = g_split, g_split if identity else split_cells(h_cells, h.adj, w)
         for w in _bits(h_cells[i]):
             charge()
             if identity and w == v:
@@ -207,7 +218,8 @@ def _min_row_major_value(adj: tuple[int, ...]) -> int:
 
 def graph_from_pair_mask(n: int, mask: int) -> Graph:
     """The graph whose pairs, row-major from (0, 1), are ``mask``'s bits from the top."""
-    return Graph(n, tuple(_pair_mask_rows(n, mask)))
+    _check_order(n)
+    return _unchecked_graph(n, tuple(_pair_mask_rows(n, mask)))
 
 
 def _pair_mask_rows(n: int, mask: int) -> list[int]:
@@ -388,4 +400,4 @@ def parse_graph6(text: str) -> Graph:
             if bits >> at & 1:
                 rows[i] |= 1 << j
                 rows[j] |= 1 << i
-    return Graph(n, tuple(rows))
+    return _unchecked_graph(n, tuple(rows))

@@ -155,6 +155,8 @@ def distinguishing_number(g: Graph) -> int:
         raise GraphError("distinguishing number needs at least one vertex")
     sizes = [len(cls) for cls in twin_graph(g).classes]
     moved = class_symmetries(g)
+    if not moved:  # only permutations inside classes are left to break
+        return max(sizes)
     searched = sorted({c for support, _ in moved for c in support})
     # the automorphisms checked when class c gets its set: those whose support ends at c
     checked: list[list[tuple[tuple[int, ...], tuple[int, ...]]]] = [[] for _ in sizes]

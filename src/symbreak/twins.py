@@ -9,11 +9,10 @@ their members are.
 
 from __future__ import annotations
 
-import itertools
 from functools import lru_cache
 from typing import NamedTuple, Sequence
 
-from .graphs import Graph, build_graph, complement, is_connected
+from .graphs import Graph, _unchecked_graph, complement, is_connected
 
 TYPE_SINGLETON = "1"
 TYPE_CLIQUE = "K"
@@ -83,17 +82,17 @@ def twin_graph(g: Graph) -> TwinStructure:
     for cls in classes:
         if len(cls) == 1:
             types.append(TYPE_SINGLETON)
-        elif g.has_edge(cls[0], cls[1]):
+        elif g.adj[cls[0]] >> cls[1] & 1:
             types.append(TYPE_CLIQUE)
         else:
             types.append(TYPE_INDEPENDENT)
     if len(classes) == g.n:  # all singletons, in vertex order, so g is its own quotient
         quotient = g
     else:
-        # twin classes are modules, so any members tell whether two classes are adjacent
-        pairs = itertools.combinations(range(len(classes)), 2)
-        edges = [(a, b) for a, b in pairs if g.has_edge(classes[a][0], classes[b][0])]
-        quotient = build_graph(len(classes), edges)
+        # twin classes are modules, so a first member's row says which classes are adjacent
+        firsts = [cls[0] for cls in classes]
+        rows = tuple(sum(1 << c for c, u in enumerate(firsts) if g.adj[v] >> u & 1) for v in firsts)
+        quotient = _unchecked_graph(len(classes), rows)
     alpha = sum(1 for t in types if t != TYPE_SINGLETON)
     return TwinStructure(tuple(classes), tuple(types), quotient, alpha)
 

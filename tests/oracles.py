@@ -10,7 +10,7 @@ from __future__ import annotations
 import itertools
 import math
 
-from symbreak import Graph
+from symbreak import Graph, build_graph
 
 
 def brute_automorphisms(g: Graph) -> list[tuple[int, ...]]:
@@ -98,6 +98,13 @@ def tree_metric_dimension(g: Graph) -> int:
             previous, v = v, next(u for u in neighbours[v] if u != previous)
         exterior.add(v)
     return len(leaves) - len(exterior)
+
+
+def edge_list_quotient(g: Graph, classes: list[tuple[int, ...]]) -> Graph:
+    """The twin quotient of ``g`` over ``classes`` from an edge list: classes
+    ``a < b`` are adjacent when their first members are."""
+    pairs = itertools.combinations(range(len(classes)), 2)
+    return build_graph(len(classes), [(a, b) for a, b in pairs if g.adj[classes[a][0]] >> classes[b][0] & 1])
 
 
 def pair_mask(g: Graph) -> int:

@@ -159,6 +159,12 @@ class TestVerify:
         (report,) = json.loads(out)
         assert report["scanned"] == 3 and report["verdict"] == "PASS"
 
+    def test_construction_reads_max_4_when_none_is_given(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "construction")
+        assert code == 0
+        (report,) = json.loads(out)
+        assert report["scanned"] == 6 and report["verdict"] == "PASS"
+
     @pytest.mark.parametrize("flag", ["--n", "--graph6-file"])
     def test_construction_refuses_n_and_graph6_file(self, capsys, order7_path, flag):
         # the construction pairs are fixed by --max: both flags used to be ignored
@@ -505,6 +511,14 @@ class TestUsage:
             pytest.param(
                 ["verify", "construction", "--max", "3", "--errata", "--jobs", "1"], "--errata",
                 id="errata-on-construction",
+            ),
+            pytest.param(
+                ["verify", "bound", "--n", "4", "--max", "7"], "verify bound takes no --max",
+                id="max-on-bound",
+            ),
+            pytest.param(
+                ["verify", "Dn2", "--n", "4", "--max", "7"], "verify Dn2 takes no --max",
+                id="max-on-Dn2",
             ),
             pytest.param(["analyze"], "INPUT", id="positional-missing"),
             pytest.param(["construct", "K3", "K4"], "K4", id="positional-extra"),

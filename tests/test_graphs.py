@@ -2,10 +2,12 @@
 
 import math
 import pickle
+import random
 import time
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symbreak import (
     FamilySpec,
@@ -24,17 +26,22 @@ from symbreak import (
     diameter,
     disjoint_union,
     empty_graph,
+    enumerate_graphs,
     house_graph,
     is_connected,
     join,
+    parse_graph6,
     path_graph,
     shortest_path_matrix,
+    twin_graph,
+    write_graph6,
 )
 from symbreak.graphs import DisconnectedError
-from symbreak.isomorphism import canonical_form
+from symbreak.isomorphism import canonical_form, graph_from_pair_mask
 from symbreak.symmetry import Coloring
 
 from conftest import graphs
+from oracles import edge_list_quotient, pair_mask
 
 
 class TestBuildGraph:
@@ -356,3 +363,57 @@ def test_distance_matrix_shape_properties(g):
             for w in range(n):
                 if dist[u][v] < math.inf and dist[v][w] < math.inf:
                     assert dist[u][w] <= dist[u][v] + dist[v][w]
+
+
+def _random_graph(n: int, p: float, rng: random.Random) -> Graph:
+    """G(n, p) through the checked constructor."""
+    rows = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < p:
+                rows[u] |= 1 << v
+                rows[v] |= 1 << u
+    return Graph(n, tuple(rows))
+
+
+def _package_built(g: Graph, rng: random.Random) -> dict[str, Graph]:
+    """Every graph the package builds from ``g`` without ``Graph``'s checks."""
+    other = _random_graph(rng.randint(1, 6), 0.5, rng)
+    parts = [(rng.randint(1, 2), rng.choice(["complete", "empty"])) for _ in range(g.n)]
+    return {
+        "graph6": parse_graph6(write_graph6(g)),
+        "pair_mask": graph_from_pair_mask(g.n, pair_mask(g)),
+        "quotient": twin_graph(g).quotient,
+        "complement": complement(g),
+        "union": disjoint_union(g, other),
+        "join": join(g, other),
+        "blow_up": blow_up(g, parts),
+        "build_graph": build_graph(g.n, g.edges()),
+    }
+
+
+def _assert_builders_pass_the_checks(g: Graph, rng: random.Random) -> None:
+    for name, h in _package_built(g, rng).items():
+        assert type(h) is Graph and type(h.adj) is tuple, name
+        assert Graph(h.n, h.adj) == h, name  # the checked constructor accepts the rows
+    classes = twin_graph(g).classes
+    assert twin_graph(g).quotient == edge_list_quotient(g, classes)
+
+
+class TestPackageBuildersPassTheChecks:
+    """Package builders skip ``Graph``'s checks because their rows are
+    symmetric, loop-free and in range by construction; the checked
+    constructor must accept every graph they make."""
+
+    def test_every_class_of_order_1_to_6(self):
+        rng = random.Random(25)
+        for n in range(1, 7):
+            for g in enumerate_graphs(n):
+                _assert_builders_pass_the_checks(g, rng)
+
+
+@given(st.integers(7, 20), st.sampled_from([0.1, 0.3, 0.5, 0.7, 0.9]), st.integers(0, 2**32))
+@settings(max_examples=150, deadline=None)
+def test_package_builders_pass_the_checks_on_gnp_graphs(n, p, seed):
+    rng = random.Random(seed)
+    _assert_builders_pass_the_checks(_random_graph(n, p, rng), rng)

@@ -38,7 +38,7 @@ from symbreak import (
 from symbreak.graphs import DisconnectedError, Graph, GraphError
 from symbreak.expressions import parse_expression
 from symbreak.graphs import construct_family
-from symbreak.isomorphism import isometries
+from symbreak.isomorphism import are_isomorphic, isometries
 from symbreak.symmetry import class_symmetries
 from symbreak.twins import twin_graph
 
@@ -370,7 +370,8 @@ class TestClassSymmetries:
 
 class TestSearchBudget:
     """Each search answers with exactly the steps it needs, and one step less
-    refuses: C20's group takes 1,577 steps, C64's 16,317 and P64's 253, and
+    refuses: C20's group takes 1,577 steps, C64's 16,317 and P64's 253, an
+    isomorphism onto a relabelling 40 for C20 and 128 for P64, and
     U(C5,C5) gives 56 color sets to single classes over k = 1, 2 and 3."""
 
     @pytest.mark.parametrize(
@@ -389,6 +390,21 @@ class TestSearchBudget:
         message = f"isometry search over its {steps - 1:,}-step budget"
         with pytest.raises(OrderLimitError, match=message):
             class_symmetries.__wrapped__(g)
+
+    @pytest.mark.parametrize(
+        ("g", "steps"),
+        [(path_graph(64), 128), (cycle_graph(20), 40)],
+        ids=["P64", "C20"],
+    )
+    def test_paired_isometry_budget(self, monkeypatch, g, steps):
+        # are_isomorphic against a relabelling pairs two lists of cells from the
+        # root, so every forced singleton is checked against its neighbour counts
+        h = relabel(g, tuple(random.Random(25).sample(range(g.n), g.n)))
+        monkeypatch.setattr("symbreak.graphs.SEARCH_MAX_STEPS", steps)
+        assert are_isomorphic(g, h)
+        monkeypatch.setattr("symbreak.graphs.SEARCH_MAX_STEPS", steps - 1)
+        with pytest.raises(OrderLimitError, match=f"isometry search over its {steps - 1:,}-step budget"):
+            are_isomorphic(g, h)
 
     @pytest.mark.parametrize(
         ("expression", "d", "steps"),
