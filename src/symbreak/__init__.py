@@ -2,7 +2,7 @@
 metric dimension and distinguishing number.
 
 The package provides bit-row graphs with the usual constructions
-(complement, union, join, blow-up, named families), canonical forms and
+(complement, union, join, blow-up, named families), isomorphism tests and
 enumeration of all small graphs up to isomorphism, graph6 I/O, exact
 metric-dimension and distinguishing-number solvers, twin-class machinery,
 catalogs of the families attaining D in {n, n-1, n-2, n-3}, and a CLI that
@@ -22,7 +22,6 @@ from .catalog import (
 )
 from .expressions import ExpressionError, format_spec, parse_expression
 from .graphs import (
-    INFINITY,
     MAX_VERTICES,
     DisconnectedError,
     FamilySpec,
@@ -47,13 +46,10 @@ from .graphs import (
     is_connected,
     join,
     path_graph,
-    shortest_path_matrix,
 )
 from .isomorphism import (
-    CanonicalForm,
     Graph6Error,
     are_isomorphic,
-    canonical_form,
     enumerate_graphs,
     parse_graph6,
     write_graph6,
@@ -64,11 +60,9 @@ from .symmetry import (
     NotResolvingError,
     coloring_from_resolving_set,
     distinguishing_number,
-    is_almost_asymmetric,
     is_distinguishing,
-    vertex_orbits,
 )
-from .twins import TwinStructure, are_twins, core_graph, twin_classes, twin_graph
+from .twins import TwinStructure, core_graph, twin_classes, twin_graph
 from .verify import (
     Mismatch,
     VerifyReport,
@@ -82,7 +76,6 @@ from .verify import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "CanonicalForm",
     "ClassificationReport",
     "Coloring",
     "DisconnectedError",
@@ -93,7 +86,6 @@ __all__ = [
     "Graph",
     "Graph6Error",
     "GraphError",
-    "INFINITY",
     "MAX_VERTICES",
     "Mismatch",
     "NotResolvingError",
@@ -104,12 +96,10 @@ __all__ = [
     "TwinStructure",
     "VerifyReport",
     "are_isomorphic",
-    "are_twins",
     "blow_up",
     "broom_tree",
     "build_graph",
     "bull_graph",
-    "canonical_form",
     "check_bound",
     "check_characterization",
     "check_construction",
@@ -134,7 +124,6 @@ __all__ = [
     "house_graph",
     "in_family_f",
     "instantiate_families",
-    "is_almost_asymmetric",
     "is_connected",
     "is_distinguishing",
     "is_resolving",
@@ -144,9 +133,7 @@ __all__ = [
     "parse_expression",
     "parse_graph6",
     "path_graph",
-    "shortest_path_matrix",
     "twin_classes",
     "twin_graph",
-    "vertex_orbits",
     "write_graph6",
 ]

@@ -15,9 +15,6 @@ from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 MAX_VERTICES = 64
 
-#: Distance placeholder for vertex pairs in different components.
-INFINITY = math.inf
-
 
 class GraphError(ValueError):
     """Invalid graph construction, or an operation applied outside its domain."""
@@ -80,8 +77,9 @@ class Graph(_GraphFields):
     graphs from edge lists.
     """
 
-    def __new__(cls, n: int, adj: tuple[int, ...]) -> Graph:
+    def __new__(cls, n: int, adj: Sequence[int]) -> Graph:
         _check_order(n)
+        adj = tuple(adj)  # a stored list would make the graph unhashable
         if len(adj) != n:
             raise GraphError("number of adjacency rows does not match the order")
         full = (1 << n) - 1
@@ -245,14 +243,6 @@ def blow_up(g: Graph, parts: Sequence[tuple[int, str]]) -> Graph:
     return _unchecked_graph(total, tuple(rows))
 
 
-def shortest_path_matrix(g: Graph) -> tuple[tuple[float, ...], ...]:
-    """Hop distances read off the layer table; ``INFINITY`` across components."""
-    return tuple(
-        tuple(next((d for d, layer in enumerate(layers) if layer >> v & 1), INFINITY) for v in range(g.n))
-        for layers in g._layers
-    )
-
-
 def is_connected(g: Graph) -> bool:
     return g._connected
 
@@ -295,7 +285,7 @@ class FamilySpec(_FamilySpecFields):
     def __new__(cls, kind: str, params=(), parts=(), pieces=()) -> FamilySpec:
         if kind not in LEAF_KINDS and kind not in _COMBINATORS:
             raise GraphError(f"unknown family kind {kind!r}")
-        return tuple.__new__(cls, (kind, params, parts, pieces))
+        return tuple.__new__(cls, (kind, tuple(params), tuple(parts), tuple(map(tuple, pieces))))
 
 
 def path_graph(n: int) -> Graph:

@@ -45,9 +45,10 @@ class Coloring(_ColoringFields):
 
     __slots__ = ()
 
-    def __new__(cls, colors: tuple[int, ...], k: int) -> Coloring:
+    def __new__(cls, colors: Sequence[int], k: int) -> Coloring:
         if k < 1:
             raise GraphError("colorings need at least one color")
+        colors = tuple(colors)
         if any(not 1 <= c <= k for c in colors):
             raise GraphError("vertex colors must lie in 1..k")
         return tuple.__new__(cls, (colors, k))
@@ -75,34 +76,6 @@ def class_symmetries(g: Graph) -> tuple[tuple[tuple[int, ...], tuple[int, ...]],
     isometries(structure.quotient, structure.quotient, keep, structure.labels)
     moved.sort(key=lambda pair: (len(pair[0]), pair[1]))
     return tuple(moved)
-
-
-def is_almost_asymmetric(g: Graph) -> bool:
-    """True when every automorphism maps each twin class onto itself, that
-    is, when the twin graph has no nontrivial label-preserving automorphism.
-
-    In that case the only symmetries left are permutations inside classes,
-    so the distinguishing number equals the largest class size.
-
-    Raises:
-        OrderLimitError: as :func:`class_symmetries` does.
-    """
-    return not class_symmetries(g)
-
-
-def vertex_orbits(g: Graph) -> list[list[int]]:
-    """Orbits of the automorphism group acting on the vertices.
-
-    The orbit of a vertex is the union of the twin classes that the labelled
-    group maps its class onto.
-
-    Raises:
-        OrderLimitError: as :func:`class_symmetries` does.
-    """
-    classes, moved = twin_graph(g).classes, class_symmetries(g)
-    images = [{c, *(f[c] for _, f in moved)} for c in range(len(classes))]
-    orbits = {tuple(sorted(v for d in orbit for v in classes[d])) for orbit in images}
-    return [list(orbit) for orbit in sorted(orbits)]
 
 
 def _breaks_all(

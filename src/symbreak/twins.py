@@ -40,17 +40,6 @@ class TwinStructure(NamedTuple):
         return tuple((len(cls), kind) for cls, kind in zip(self.classes, self.types))
 
 
-def are_twins(g: Graph, u: int, v: int) -> bool:
-    """True when u and v have the same neighbours apart from one another.
-
-    Covers both the non-adjacent case (equal open neighbourhoods) and the
-    adjacent case (equal closed neighbourhoods) in a single bitmask test.
-    """
-    if u == v:
-        return True
-    return (g.adj[u] & ~(1 << v)) == (g.adj[v] & ~(1 << u))
-
-
 def twin_classes(g: Graph) -> list[list[int]]:
     """Maximal classes of mutual twins, in order of their least vertex."""
     return twin_classes_of_rows(g.adj)

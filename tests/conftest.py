@@ -2,11 +2,15 @@
 
 from __future__ import annotations
 
+import math
+
 import pytest
 from hypothesis import strategies as st
 
 from symbreak import Graph, build_graph
-from symbreak.isomorphism import graph_from_pair_mask
+from symbreak.isomorphism import _min_row_major_value, graph_from_pair_mask
+from symbreak.symmetry import class_symmetries
+from symbreak.twins import twin_graph
 
 
 @st.composite
@@ -22,6 +26,31 @@ def graphs_with_permutation(draw, min_n: int = 1, max_n: int = 6):
     g = draw(graphs(min_n=min_n, max_n=max_n))
     perm = draw(st.permutations(list(range(g.n))))
     return g, tuple(perm)
+
+
+def canonical_value(g: Graph) -> int:
+    """The least row-major pair mask of ``g`` over all relabelings, from
+    the canonical search that enumeration deduplicates with."""
+    return _min_row_major_value(g.adj)
+
+
+def layer_distances(g: Graph) -> list[list[float]]:
+    """All-pairs hop distances read off ``g``'s breadth-first layer table,
+    ``math.inf`` across components."""
+    return [
+        [next((d for d, layer in enumerate(layers) if layer >> v & 1), math.inf) for v in range(g.n)]
+        for layers in g._layers
+    ]
+
+
+def vertex_orbits(g: Graph) -> list[list[int]]:
+    """The orbits of Aut(G) on the vertices, read off the labelled twin-graph
+    group: a vertex's orbit is the union of the twin classes that
+    ``class_symmetries`` maps its class onto."""
+    classes, moved = twin_graph(g).classes, class_symmetries(g)
+    images = [{c, *(f[c] for _, f in moved)} for c in range(len(classes))]
+    orbits = {tuple(sorted(v for d in orbit for v in classes[d])) for orbit in images}
+    return [list(orbit) for orbit in sorted(orbits)]
 
 
 def relabel(g: Graph, perm: tuple[int, ...]) -> Graph:

@@ -51,6 +51,11 @@ def cycle_distinguishing_number(n: int) -> int:
     return 3 if n <= 5 else 2
 
 
+def are_twins(g: Graph, u: int, v: int) -> bool:
+    """True when ``u`` and ``v`` have the same neighbours apart from one another."""
+    return set(g.neighbors(u)) - {v} == set(g.neighbors(v)) - {u}
+
+
 def naive_distances(g: Graph) -> list[list[float]]:
     """All-pairs hop distances by Floyd-Warshall over the adjacency bits,
     ``math.inf`` across components."""

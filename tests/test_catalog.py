@@ -9,7 +9,6 @@ from symbreak import (
     TheoremId,
     TheoremNotApplicableError,
     are_isomorphic,
-    canonical_form,
     check_characterization,
     classify_graph,
     complete_graph,
@@ -34,7 +33,7 @@ from symbreak import (
 from symbreak.catalog import _THEOREMS, ERRATA, FamilyMatch, family_matches
 from symbreak.graphs import GraphError
 
-from conftest import relabel
+from conftest import canonical_value, relabel
 from oracles import brute_distinguishing_number
 
 
@@ -69,7 +68,8 @@ class TestInstantiation:
                     spec = parse_expression(match.expression)
                     assert format_spec(spec) == match.expression
                     built = construct_family(spec)
-                    assert canonical_form(built) == canonical_form(inst.graph), match
+                    assert built.n == inst.graph.n, match
+                    assert canonical_value(built) == canonical_value(inst.graph), match
 
     @pytest.mark.parametrize("theorem", list(TheoremId), ids=lambda t: t.value)
     def test_aliases_are_grouped_as_canonical_forms_group_them(self, theorem):
@@ -77,7 +77,8 @@ class TestInstantiation:
             by_form = {}
             for inst in instantiate_families(theorem, n):
                 for match in inst.matches:
-                    form = canonical_form(construct_family(parse_expression(match.expression)))
+                    built = construct_family(parse_expression(match.expression))
+                    form = built.n, canonical_value(built)
                     by_form.setdefault(form, set()).add(match)
             grouped = {frozenset(inst.matches) for inst in instantiate_families(theorem, n)}
             assert grouped == {frozenset(matches) for matches in by_form.values()}, n
@@ -379,7 +380,7 @@ class TestErrata:
     def test_order_7_file_holds_every_class(self, order7_classes):
         # 1,044 pairwise non-isomorphic graphs are all the classes (OEIS A000088)
         assert len(order7_classes) == 1044 and all(g.n == 7 for g in order7_classes)
-        assert len({canonical_form(g).value for g in order7_classes}) == 1044
+        assert len({canonical_value(g) for g in order7_classes}) == 1044
 
     @pytest.mark.parametrize("theorem", list(ERRATA))
     def test_amended_catalogs_pass_over_every_order_7_class(self, theorem, order7_classes):
@@ -389,15 +390,15 @@ class TestErrata:
 
     def test_paper_rows_miss_exactly_the_order_7_errata(self, order7_classes):
         report = check_characterization(TheoremId.DN3, 7, graphs=order7_classes, errata=False)
-        missed = {canonical_form(parse_graph6(m.graph6)).value for m in report.mismatches}
+        missed = {canonical_value(parse_graph6(m.graph6)) for m in report.mismatches}
         errata = erratum_instances(TheoremId.DN3, 7)
         assert len(errata) == 8
-        assert missed == {canonical_form(inst.graph).value for inst in errata}
+        assert missed == {canonical_value(inst.graph) for inst in errata}
 
     def test_order_8_file_holds_every_class(self, order8_classes):
         # 12,346 pairwise non-isomorphic graphs are all the classes (OEIS A000088)
         assert len(order8_classes) == 12346 and all(g.n == 8 for g in order8_classes)
-        assert len({canonical_form(g).value for g in order8_classes}) == 12346
+        assert len({canonical_value(g) for g in order8_classes}) == 12346
 
     def test_paper_rows_miss_exactly_six_order_8_errata(self, order8_classes):
         report = check_characterization(TheoremId.DN3, 8, graphs=order8_classes, errata=False)
@@ -419,7 +420,7 @@ class TestErrata:
     def test_order_9_file_holds_the_classes_with_d_at_least_5(self, order9_high_d):
         # 184 pairwise non-isomorphic graphs: 2, 2, 8, 28 and 144 with D = 9 - k
         assert len(order9_high_d) == 184 and all(g.n == 9 for g in order9_high_d)
-        assert len({canonical_form(g).value for g in order9_high_d}) == 184
+        assert len({canonical_value(g) for g in order9_high_d}) == 184
         counts = Counter(9 - distinguishing_number(g) for g in order9_high_d)
         assert counts == {0: 2, 1: 2, 2: 8, 3: 28, 4: 144}
 

@@ -25,23 +25,24 @@ from symbreak import (
     cycle_graph,
     diameter,
     disjoint_union,
+    distinguishing_number,
     empty_graph,
     enumerate_graphs,
     house_graph,
     is_connected,
     join,
+    metric_dimension,
     parse_graph6,
     path_graph,
-    shortest_path_matrix,
     twin_graph,
     write_graph6,
 )
 from symbreak.graphs import DisconnectedError
-from symbreak.isomorphism import canonical_form, graph_from_pair_mask
+from symbreak.isomorphism import graph_from_pair_mask
 from symbreak.symmetry import Coloring
 
-from conftest import graphs
-from oracles import edge_list_quotient, pair_mask
+from conftest import graphs, layer_distances
+from oracles import edge_list_quotient, naive_distances, pair_mask
 
 
 class TestBuildGraph:
@@ -81,14 +82,13 @@ class TestBuildGraph:
 
 
 class TestValueObjects:
-    """Graph, FamilySpec, Coloring and CanonicalForm are immutable, hashable
+    """Graph, FamilySpec and Coloring are immutable, hashable
     and picklable tuples; the validated ones reject bad input by name."""
 
     VALUES = [
         (lambda: build_graph(3, [(0, 1), (1, 2)]), "n", 4),
         (lambda: FamilySpec("union", parts=(FamilySpec("complete", (2,)),)), "kind", "join"),
         (lambda: Coloring((1, 2, 1), 2), "k", 3),
-        (lambda: canonical_form(path_graph(4)), "value", 0),
     ]
 
     @pytest.mark.parametrize("make, field, other", VALUES)
@@ -110,6 +110,20 @@ class TestValueObjects:
         value = make()
         copy = pickle.loads(pickle.dumps(value))
         assert copy == value and type(copy) is type(value)
+
+    def test_lists_are_stored_as_tuples(self):
+        # a stored list would leave the value unhashable, and every cached solver would raise
+        g, coloring = Graph(2, [0b10, 0b01]), Coloring([1, 2], 2)
+        pieces = ((2, "complete"), (1, "empty"))
+        spec = FamilySpec("blow_up", parts=[FamilySpec("path", [2])], pieces=list(map(list, pieces)))
+        same = FamilySpec("blow_up", parts=(FamilySpec("path", (2,)),), pieces=pieces)
+        assert type(g.adj) is type(coloring.colors) is tuple
+        assert g == complete_graph(2) and hash(g) == hash(complete_graph(2))
+        assert coloring == Coloring((1, 2), 2) and hash(coloring) == hash(Coloring((1, 2), 2))
+        assert spec == same and hash(spec) == hash(same)
+        assert twin_graph(g).classes == ((0, 1),)
+        assert distinguishing_number(g) == 2
+        assert metric_dimension(g).dim == 1
 
     def test_pickle_keeps_a_cached_degree_sequence(self):
         g = cycle_graph(5)
@@ -237,7 +251,7 @@ class TestFamilies:
             assert tree.degree(0) == k
             leaves = [v for v in range(tree.n) if tree.degree(v) == 1]
             assert len(leaves) == k
-            dist = shortest_path_matrix(tree)
+            dist = naive_distances(tree)
             assert sorted(dist[0][leaf] for leaf in leaves) == list(range(1, k + 1))
             assert all(tree.degree(v) in (1, 2) for v in range(1, tree.n))
 
@@ -295,16 +309,16 @@ class TestFamilies:
 
 class TestDistances:
     def test_p4_end_to_end_distance(self):
-        dist = shortest_path_matrix(path_graph(4))
+        dist = layer_distances(path_graph(4))
         assert dist[0][3] == 3
 
     def test_cross_component_distance_is_infinite(self):
         g = disjoint_union(complete_graph(2), complete_graph(2))
-        dist = shortest_path_matrix(g)
+        dist = layer_distances(g)
         assert dist[0][2] == math.inf
 
     def test_c5_distances(self):
-        dist = shortest_path_matrix(cycle_graph(5))
+        dist = layer_distances(cycle_graph(5))
         off_diagonal = {dist[u][v] for u in range(5) for v in range(5) if u != v}
         assert off_diagonal == {1, 2}
         assert diameter(cycle_graph(5)) == 2
@@ -327,14 +341,14 @@ class TestDistances:
         assert not is_connected(g) and is_connected(cycle_graph(64))
         assert "_distance_matrix" not in vars(g)
         assert "_layers" not in vars(g)
-        shortest_path_matrix(g)
+        assert len(g._layers) == g.n
         assert "_layers" in vars(g)
 
 
 @given(graphs(max_n=7))
 @settings(max_examples=80)
 def test_connected_exactly_when_vertex_0_reaches_every_vertex(g):
-    assert is_connected(g) == (g.n == 0 or math.inf not in shortest_path_matrix(g)[0])
+    assert is_connected(g) == (g.n == 0 or math.inf not in naive_distances(g)[0])
 
 
 @given(graphs(max_n=7))
@@ -354,7 +368,7 @@ def test_join_is_complement_of_union_of_complements(g, h):
 @given(graphs(min_n=1, max_n=7))
 @settings(max_examples=60)
 def test_distance_matrix_shape_properties(g):
-    dist = shortest_path_matrix(g)
+    dist = layer_distances(g)
     n = g.n
     for u in range(n):
         assert dist[u][u] == 0

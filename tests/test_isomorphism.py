@@ -18,7 +18,6 @@ from symbreak import (
     blow_up,
     broom_tree,
     build_graph,
-    canonical_form,
     complement,
     complete_graph,
     complete_multipartite_graph,
@@ -30,7 +29,6 @@ from symbreak import (
     parse_expression,
     parse_graph6,
     path_graph,
-    shortest_path_matrix,
     write_graph6,
 )
 import symbreak
@@ -42,8 +40,8 @@ from symbreak.isomorphism import (
     graph_from_pair_mask,
 )
 
-from conftest import graphs, graphs_with_permutation, relabel
-from oracles import brute_automorphisms, brute_canonical_value, pair_mask
+from conftest import canonical_value, graphs, graphs_with_permutation, relabel
+from oracles import brute_automorphisms, brute_canonical_value, naive_distances, pair_mask
 
 def build(text):
     return construct_family(parse_expression(text))
@@ -91,11 +89,11 @@ class TestCanonicalForm:
     def test_relabeling_invariance_on_p4(self):
         straight = build_graph(4, [(0, 1), (1, 2), (2, 3)])
         shuffled = build_graph(4, [(2, 0), (0, 3), (3, 1)])
-        assert canonical_form(straight) == canonical_form(shuffled)
+        assert canonical_value(straight) == canonical_value(shuffled)
 
     def test_c4_and_2k2_differ(self):
         two_k2 = disjoint_union(complete_graph(2), complete_graph(2))
-        assert canonical_form(cycle_graph(4)) != canonical_form(two_k2)
+        assert canonical_value(cycle_graph(4)) != canonical_value(two_k2)
 
     @pytest.mark.parametrize("n", range(7))
     def test_pair_masks_read_row_major_from_the_top_bit(self, n):
@@ -106,7 +104,7 @@ class TestCanonicalForm:
             assert g == build_graph(n, edges) and pair_mask(g) == mask
 
     def test_labeled_graphs_on_4_vertices_fall_into_11_classes(self):
-        forms = {canonical_form(graph_from_pair_mask(4, m)).value for m in range(64)}
+        forms = {canonical_value(graph_from_pair_mask(4, m)) for m in range(64)}
         assert len(forms) == 11
 
     @pytest.mark.parametrize(
@@ -116,25 +114,25 @@ class TestCanonicalForm:
     )
     def test_step_budget(self, monkeypatch, g, steps):
         # a step is a candidate row: K11 tries 11 + 10 + ... + 2 of them
-        form = canonical_form(relabel(g, tuple(random.Random(g.n).sample(range(g.n), g.n))))
-        assert are_isomorphic(graph_from_pair_mask(g.n, form.value), g)
+        value = canonical_value(relabel(g, tuple(random.Random(g.n).sample(range(g.n), g.n))))
+        assert are_isomorphic(graph_from_pair_mask(g.n, value), g)
         monkeypatch.setattr("symbreak.graphs.SEARCH_MAX_STEPS", steps)
-        assert canonical_form(g) == form
+        assert canonical_value(g) == value
         monkeypatch.setattr("symbreak.graphs.SEARCH_MAX_STEPS", steps - 1)
         message = f"canonical search over its {steps - 1:,}-step budget"
         with pytest.raises(OrderLimitError, match=message):
-            canonical_form(g)
+            canonical_value(g)
 
     @given(graphs(min_n=0, max_n=6))
     @settings(max_examples=80, deadline=None)
     def test_matches_exhaustive_permutation_minimum(self, g):
-        assert canonical_form(g).value == brute_canonical_value(g)
+        assert canonical_value(g) == brute_canonical_value(g)
 
     @given(graphs_with_permutation(max_n=6))
     @settings(max_examples=80, deadline=None)
     def test_invariant_under_relabeling(self, pair):
         g, perm = pair
-        assert canonical_form(g) == canonical_form(relabel(g, perm))
+        assert canonical_value(g) == canonical_value(relabel(g, perm))
 
     @pytest.mark.parametrize(
         "g, value",
@@ -150,14 +148,14 @@ class TestCanonicalForm:
     def test_pinned_values_of_vertex_transitive_graphs(self, g, value):
         # every vertex looks alike, so pruning does all the work here; a
         # bound that overshoots would cut off the minimum
-        assert canonical_form(g).value == value
+        assert canonical_value(g) == value
 
     def test_matches_brute_force_on_every_labelled_graph_up_to_order_5(self):
         checked = 0
         for n in range(6):
             for mask in range(1 << (n * (n - 1) // 2)):
                 g = graph_from_pair_mask(n, mask)
-                assert canonical_form(g).value == brute_canonical_value(g), (n, mask)
+                assert canonical_value(g) == brute_canonical_value(g), (n, mask)
                 checked += 1
         assert checked == 1100
 
@@ -167,7 +165,7 @@ class TestCanonicalForm:
             perm = list(range(6))
             rng.shuffle(perm)
             shuffled = relabel(g, tuple(perm))
-            assert canonical_form(shuffled).value == brute_canonical_value(g) == pair_mask(g)
+            assert canonical_value(shuffled) == brute_canonical_value(g) == pair_mask(g)
 
     @pytest.mark.parametrize("n", [7, 8])
     @given(data=st.data())
@@ -175,13 +173,13 @@ class TestCanonicalForm:
     def test_matches_exhaustive_permutation_minimum_above_order_6(self, n, data):
         # the oracle tries all n! relabelings, under 0.1 s at order 8
         g = data.draw(graphs(min_n=n, max_n=n))
-        assert canonical_form(g).value == brute_canonical_value(g)
+        assert canonical_value(g) == brute_canonical_value(g)
 
     @given(graphs_with_permutation(min_n=7, max_n=10))
     @settings(max_examples=60, deadline=None)
     def test_invariant_under_relabeling_up_to_the_cap(self, pair):
         g, perm = pair
-        assert canonical_form(g) == canonical_form(relabel(g, perm))
+        assert canonical_value(g) == canonical_value(relabel(g, perm))
 
 
 class TestAreIsomorphic:
@@ -226,9 +224,9 @@ class TestAreIsomorphic:
             classes = list(enumerate_graphs(n))
             for mask in range(1 << (n * (n - 1) // 2)):
                 g = graph_from_pair_mask(n, mask)
-                form = canonical_form(g)
+                value = canonical_value(g)
                 for r in classes:
-                    assert are_isomorphic(g, r) == (form == canonical_form(r)), (n, mask)
+                    assert are_isomorphic(g, r) == (value == canonical_value(r)), (n, mask)
                     pairs += 1
         assert pairs == 35557
 
@@ -260,8 +258,8 @@ class TestAreIsomorphic:
         # profile; only the backtrack itself can tell them apart
         searches = counted_searches(monkeypatch)
         shrikhande, rook = shrikhande_and_rook()
-        assert sorted(map(sorted, shortest_path_matrix(shrikhande))) == sorted(
-            map(sorted, shortest_path_matrix(rook))
+        assert sorted(map(sorted, naive_distances(shrikhande))) == sorted(
+            map(sorted, naive_distances(rook))
         )
         assert not are_isomorphic(shrikhande, rook)
         assert are_isomorphic(rook, relabel(rook, tuple(reversed(range(16)))))
@@ -310,7 +308,7 @@ class TestEnumeration:
         masks = [pair_mask(g) for g in enumerate_graphs(5)]
         assert masks == sorted(masks)
         for g in enumerate_graphs(5):
-            assert canonical_form(g).value == pair_mask(g)
+            assert canonical_value(g) == pair_mask(g)
 
     def test_no_two_representatives_isomorphic(self):
         reps = list(enumerate_graphs(4))
@@ -331,12 +329,12 @@ class TestEnumeration:
         assert _canonical_masks(n) == tuple(sorted(classes))
 
     def test_generator_reaches_every_order_7_class(self, order7_classes):
-        assert set(_canonical_masks(7)) == {canonical_form(g).value for g in order7_classes}
+        assert set(_canonical_masks(7)) == {canonical_value(g) for g in order7_classes}
 
     def test_generator_reaches_every_order_8_class(self, order8_classes):
         # OEIS A000088 and A001349: 12,346 graphs of order 8, 11,117 connected
         masks = _canonical_masks(8)
-        assert masks == tuple(sorted({canonical_form(g).value for g in order8_classes}))
+        assert masks == tuple(sorted({canonical_value(g) for g in order8_classes}))
         assert len(masks) == 12346
         assert sum(is_connected(graph_from_pair_mask(8, mask)) for mask in masks) == 11117
 

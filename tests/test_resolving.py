@@ -24,11 +24,10 @@ from symbreak import (
     is_resolving,
     metric_dimension,
     path_graph,
-    shortest_path_matrix,
 )
 from symbreak.twins import twin_classes
 
-from conftest import graphs
+from conftest import graphs, layer_distances
 from oracles import naive_distances, naive_metric_dimension, tree_metric_dimension
 
 
@@ -146,7 +145,7 @@ def sparse_or_dense_graphs(draw, max_n: int = 40):
 @settings(max_examples=60, deadline=None)
 def test_distance_answers_agree_with_floyd_warshall(g, data):
     dist = naive_distances(g)
-    assert shortest_path_matrix(g) == tuple(map(tuple, dist))
+    assert layer_distances(g) == dist
     if math.inf in dist[0]:
         assert not is_connected(g)
         with pytest.raises(DisconnectedError):

@@ -1,4 +1,5 @@
-"""Source checks that need no linter: every module uses what it imports."""
+"""Source checks that need no linter: every module uses what it imports, and
+the package exports exactly the names its ``__init__`` imports."""
 
 import ast
 import pathlib
@@ -38,3 +39,16 @@ def test_unused_imports_are_found():
 @pytest.mark.parametrize("path", MODULES, ids=lambda path: path.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_all_lists_each_imported_name_once():
+    init = pathlib.Path(symbreak.__file__)
+    tree = ast.parse(init.read_text(encoding="utf-8"))
+    imported = {
+        alias.asname or alias.name
+        for node in tree.body
+        if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+        for alias in node.names
+    }
+    assert len(symbreak.__all__) == len(set(symbreak.__all__))
+    assert set(symbreak.__all__) == imported

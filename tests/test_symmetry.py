@@ -2,6 +2,7 @@
 
 import csv
 import itertools
+import math
 import os
 import random
 
@@ -31,8 +32,6 @@ from symbreak import (
     metric_dimension,
     parse_graph6,
     path_graph,
-    shortest_path_matrix,
-    vertex_orbits,
     write_graph6,
 )
 from symbreak.graphs import DisconnectedError, Graph, GraphError
@@ -42,12 +41,13 @@ from symbreak.isomorphism import are_isomorphic, isometries
 from symbreak.symmetry import class_symmetries
 from symbreak.twins import twin_graph
 
-from conftest import graphs, graphs_with_permutation, relabel
+from conftest import graphs, graphs_with_permutation, relabel, vertex_orbits
 from oracles import (
     brute_automorphisms,
     brute_distinguishing_number,
     cycle_distinguishing_number,
     multipartite_distinguishing_number,
+    naive_distances,
 )
 
 
@@ -86,7 +86,7 @@ class TestAutomorphismGroup:
 
     def test_every_element_preserves_distances(self):
         g = house_graph()
-        dist = shortest_path_matrix(g)
+        dist = naive_distances(g)
         for f in _self_maps(g):
             for u in range(g.n):
                 for v in range(g.n):
@@ -109,6 +109,7 @@ class TestAutomorphismGroup:
 
 
 class TestVertexOrbits:
+    # the orbits of Aut(G), read off the labelled twin-graph group
     def test_star_orbits(self):
         star = complete_multipartite_graph(1, 3)
         assert vertex_orbits(star) == [[0], [1, 2, 3]]
@@ -337,6 +338,20 @@ def test_is_distinguishing_matches_brute_automorphisms(colored):
 
 
 class TestClassSymmetries:
+    @pytest.mark.parametrize("n", range(1, 7))
+    def test_lift_to_the_whole_group_on_every_class_up_to_order_6(self, n):
+        # Aut(G) is the labelled group of G* extended by the symmetric group
+        # on every twin class, so the orders multiply exactly
+        for g in enumerate_graphs(n):
+            inside = math.prod(math.factorial(len(cls)) for cls in twin_graph(g).classes)
+            order = (len(class_symmetries(g)) + 1) * inside
+            assert order == len(brute_automorphisms(g)), write_graph6(g)
+
+    def test_twin_classes_beyond_sixteen_vertices(self):
+        # K20 is one twin class; K(9,9) has two, which one swap exchanges
+        assert class_symmetries(complete_graph(20)) == ()
+        assert class_symmetries(complete_multipartite_graph(9, 9)) == (((0, 1), (1, 0)),)
+
     def test_labels_prune_a_star_quotient(self):
         # 56 vertices; the twin graph is a star with 10 leaves, whose unlabelled
         # group has 10! elements, but the class sizes tell the leaves apart
@@ -346,6 +361,8 @@ class TestClassSymmetries:
 
     def test_twin_free_graphs_above_sixteen_classes(self):
         # T8 has 37 twin classes and no symmetry at all; C20's group has 40 elements
+        assert class_symmetries(broom_tree(8)) == ()
+        assert len(class_symmetries(cycle_graph(20))) == 39
         assert distinguishing_number(broom_tree(8)) == 1
         assert distinguishing_number(cycle_graph(20)) == 2
 

@@ -6,7 +6,6 @@ from hypothesis import strategies as st
 
 from symbreak import (
     are_isomorphic,
-    are_twins,
     blow_up,
     broom_tree,
     complement,
@@ -17,7 +16,6 @@ from symbreak import (
     disjoint_union,
     distinguishing_number,
     enumerate_graphs,
-    is_almost_asymmetric,
     is_connected,
     join,
     path_graph,
@@ -26,13 +24,15 @@ from symbreak import (
 )
 from symbreak.graphs import FamilySpec, construct_family
 from symbreak.isomorphism import graph_from_pair_mask
+from symbreak.symmetry import class_symmetries
 
 from conftest import graphs, relabel
+from oracles import are_twins
 
 
 def pairwise_twin_classes(g):
     """Twin classes by testing each vertex against one member of each class
-    found so far, with :func:`are_twins`."""
+    found so far, with the oracle :func:`are_twins`."""
     classes = []
     for v in range(g.n):
         for cls in classes:
@@ -125,21 +125,21 @@ class TestTwinGraph:
 
 class TestAlmostAsymmetric:
     def test_c4_rotation_crosses_classes(self):
-        assert not is_almost_asymmetric(cycle_graph(4))
+        assert class_symmetries(cycle_graph(4))
 
     def test_k23_is_almost_asymmetric_with_d_three(self):
         g = complete_multipartite_graph(2, 3)
-        assert is_almost_asymmetric(g)
+        assert not class_symmetries(g)
         assert distinguishing_number(g) == 3
         assert twin_graph(g).max_class_size() == 3
 
     def test_p4_endpoint_swap_crosses_singletons(self):
-        assert not is_almost_asymmetric(path_graph(4))
+        assert class_symmetries(path_graph(4))
 
     @pytest.mark.parametrize("n", range(1, 6))
     def test_rule_on_all_small_graphs(self, n):
         for g in enumerate_graphs(n):
-            if is_almost_asymmetric(g):
+            if not class_symmetries(g):
                 assert distinguishing_number(g) == twin_graph(g).max_class_size()
 
 
