@@ -41,7 +41,6 @@ from .graphs import (
     disjoint_union,
     empty_graph,
     family_degrees,
-    family_order,
     house_graph,
     is_connected,
     join,
@@ -119,7 +118,6 @@ __all__ = [
     "enumerate_graphs",
     "enumeration_rows",
     "family_degrees",
-    "family_order",
     "format_spec",
     "house_graph",
     "in_family_f",

@@ -40,7 +40,6 @@ from .graphs import (
     construct_family,
     diameter,
     family_degrees,
-    family_order,
     is_connected,
 )
 from .isomorphism import are_isomorphic, write_graph6
@@ -268,7 +267,8 @@ def _members(theorem: TheoremId, n: int):
     for entry, erratum in rows:
         t = entry.t_min
         if t is not None:
-            t += n - family_order(entry.make(t))
+            first = entry.make(t)  # only a blow-up has pieces; their sizes sum to its order
+            t += n - (sum(size for size, _ in first.pieces) or len(family_degrees(first)))
             if t < entry.t_min:
                 continue
         family = entry.make(0 if t is None else t)

@@ -277,15 +277,22 @@ class FamilySpec(_FamilySpecFields):
     ``complement`` combine sub-specs; ``blow_up`` pairs a base spec with a
     tuple of ``(size, "complete"|"empty")`` pieces.  Every closed formula
     appearing in the characterisation catalogs is expressible as one of
-    these trees, so no family needs bespoke construction code.
+    these trees, so no family needs bespoke construction code.  A
+    complement or blow-up has exactly one part, a union or join at least one.
     """
 
     __slots__ = ()
 
     def __new__(cls, kind: str, params=(), parts=(), pieces=()) -> FamilySpec:
-        if kind not in LEAF_KINDS and kind not in _COMBINATORS:
-            raise GraphError(f"unknown family kind {kind!r}")
-        return tuple.__new__(cls, (kind, tuple(params), tuple(parts), tuple(map(tuple, pieces))))
+        parts = tuple(parts)
+        if kind not in LEAF_KINDS:
+            if kind not in _COMBINATORS:
+                raise GraphError(f"unknown family kind {kind!r}")
+            if kind in ("complement", "blow_up") and len(parts) != 1:
+                raise GraphError(f"{kind} needs exactly one part, got {len(parts)}")
+            if not parts:
+                raise GraphError(f"{kind} needs at least one part")
+        return tuple.__new__(cls, (kind, tuple(params), parts, tuple(map(tuple, pieces))))
 
 
 def path_graph(n: int) -> Graph:
@@ -390,8 +397,9 @@ LEAF_KINDS: dict[str, LeafKind] = {
 def family_degrees(spec: FamilySpec) -> tuple[int, ...]:
     """The vertex degrees of :func:`construct_family` ``(spec)``, read off the
     spec (only a blow-up's base is built); sorted, they are its degree
-    sequence.  A leaf with non-negative parameters that its builder rejects
-    (``P0``, ``C2``) still gets one degree per vertex they count."""
+    sequence, and their count is its order.  A spec with non-negative
+    parameters that its builders reject (``P0``, ``C2``, ``U(C2,K3)``) still
+    gets one degree per vertex they count, so still gets an order."""
     leaf = LEAF_KINDS.get(spec.kind)
     if leaf is not None:
         return leaf.degrees(*spec.params)
@@ -406,23 +414,12 @@ def family_degrees(spec: FamilySpec) -> tuple[int, ...]:
             degrees += [inner + sum(sizes[j] for j in _bits(row))] * size
         return tuple(degrees)
     parts = [family_degrees(sub) for sub in spec.parts]
-    total = sum(len(part) for part in parts)
     if spec.kind == "union":
-        return tuple(d for part in parts for d in part)
+        return sum(parts, ())
     if spec.kind == "join":
+        total = sum(map(len, parts))
         return tuple(d + total - len(part) for part in parts for d in part)
-    return tuple(total - 1 - d for part in parts for d in part)  # complement
-
-
-def family_order(spec: FamilySpec) -> int:
-    """The order of :func:`construct_family` ``(spec)``, read off the spec
-    without building anything, so a spec its builders reject still gets one."""
-    leaf = LEAF_KINDS.get(spec.kind)
-    if leaf is not None:
-        return len(leaf.degrees(*spec.params))
-    if spec.kind == "blow_up":
-        return sum(size for size, _ in spec.pieces)
-    return sum(map(family_order, spec.parts))
+    return tuple(len(parts[0]) - 1 - d for d in parts[0])  # complement, of its one part
 
 
 def construct_family(spec: FamilySpec) -> Graph:
@@ -435,6 +432,4 @@ def construct_family(spec: FamilySpec) -> Graph:
         return complement(parts[0])
     if spec.kind == "blow_up":
         return blow_up(parts[0], spec.pieces)
-    if not parts:
-        raise GraphError(f"{spec.kind} needs at least one part")
     return reduce(disjoint_union if spec.kind == "union" else join, parts)

@@ -294,10 +294,10 @@ def enumerate_graphs(n: int, connected_only: bool = False) -> Iterator[Graph]:
     Raises:
         OrderLimitError: for n above the internal generation bound; larger
             orders must be supplied as graph6 input instead.
+        GraphError: for a negative n.
     """
     check_enumeration_order(n)
-    if n < 0:
-        raise OrderLimitError("order must be non-negative")
+    _check_order(n)
     for mask in _canonical_masks(n):
         g = graph_from_pair_mask(n, mask)
         if connected_only and not is_connected(g):

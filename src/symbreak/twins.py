@@ -4,7 +4,7 @@ Two vertices are twins when they have the same neighbours apart from one
 another; a class of mutual twins induces either a clique (type "K") or an
 independent set (type "N"), and singleton classes have type "1".  The
 quotient keeps one vertex per class, with classes adjacent exactly when
-their members are.
+their members are.  Each class's (size, type) label is stored once.
 """
 
 from __future__ import annotations
@@ -14,30 +14,16 @@ from typing import NamedTuple, Sequence
 
 from .graphs import Graph, _unchecked_graph, complement, is_connected
 
-TYPE_SINGLETON = "1"
-TYPE_CLIQUE = "K"
-TYPE_INDEPENDENT = "N"
-
 
 class TwinStructure(NamedTuple):
-    """Twin classes with their types, the quotient graph, and alpha.
+    """Twin classes, each class's (size, type) label, and the quotient graph.
 
-    ``alpha`` counts the classes of type "K" or "N", that is, the classes
-    of size at least two.
+    The labels are what every symmetry of G must keep on the quotient.
     """
 
     classes: tuple[tuple[int, ...], ...]
-    types: tuple[str, ...]
+    labels: tuple[tuple[int, str], ...]
     quotient: Graph
-    alpha: int
-
-    def max_class_size(self) -> int:
-        return max(len(cls) for cls in self.classes)
-
-    @property
-    def labels(self) -> tuple[tuple[int, str], ...]:
-        """Each class's (size, type), which every symmetry of G must keep."""
-        return tuple((len(cls), kind) for cls, kind in zip(self.classes, self.types))
 
 
 def twin_classes(g: Graph) -> list[list[int]]:
@@ -65,16 +51,13 @@ def twin_classes_of_rows(adj: Sequence[int]) -> list[list[int]]:
 
 @lru_cache(maxsize=65536)
 def twin_graph(g: Graph) -> TwinStructure:
-    """Contract every twin class to one vertex and record the class types."""
-    classes = [tuple(cls) for cls in twin_classes(g)]
-    types = []
-    for cls in classes:
-        if len(cls) == 1:
-            types.append(TYPE_SINGLETON)
-        elif g.adj[cls[0]] >> cls[1] & 1:
-            types.append(TYPE_CLIQUE)
-        else:
-            types.append(TYPE_INDEPENDENT)
+    """Contract every twin class to one vertex and label each class with its
+    size and type, in one pass over the classes."""
+    classes = tuple(map(tuple, twin_classes(g)))
+    labels = tuple(
+        (len(cls), "1" if len(cls) == 1 else "K" if g.adj[cls[0]] >> cls[1] & 1 else "N")
+        for cls in classes
+    )
     if len(classes) == g.n:  # all singletons, in vertex order, so g is its own quotient
         quotient = g
     else:
@@ -82,8 +65,7 @@ def twin_graph(g: Graph) -> TwinStructure:
         firsts = [cls[0] for cls in classes]
         rows = tuple(sum(1 << c for c, u in enumerate(firsts) if g.adj[v] >> u & 1) for v in firsts)
         quotient = _unchecked_graph(len(classes), rows)
-    alpha = sum(1 for t in types if t != TYPE_SINGLETON)
-    return TwinStructure(tuple(classes), tuple(types), quotient, alpha)
+    return TwinStructure(classes, labels, quotient)
 
 
 def core_graph(g: Graph) -> Graph:

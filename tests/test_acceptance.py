@@ -162,10 +162,7 @@ def test_criterion_11_twin_round_trip():
     for n in range(1, 7):
         for g in enumerate_graphs(n):
             structure = twin_graph(g)
-            parts = [
-                (len(cls), "complete" if kind == "K" else "empty")
-                for cls, kind in zip(structure.classes, structure.types)
-            ]
+            parts = [(size, "complete" if kind == "K" else "empty") for size, kind in structure.labels]
             if not are_isomorphic(blow_up(structure.quotient, parts), g):
                 bad.append(write_graph6(g))
     report(11, "blow-up of the twin quotient recovers the graph, n <= 6", not bad)
@@ -177,7 +174,7 @@ def test_criterion_12_almost_asymmetric_rule():
     for n in range(1, 7):
         for g in enumerate_graphs(n):
             if not class_symmetries(g):
-                if distinguishing_number(g) != twin_graph(g).max_class_size():
+                if distinguishing_number(g) != max(size for size, _ in twin_graph(g).labels):
                     bad.append(write_graph6(g))
     report(12, "almost asymmetric implies D = largest twin class, n <= 6", not bad)
     assert not bad, bad

@@ -81,6 +81,9 @@ class TestBuildGraph:
             Graph(2, (0b10, 0b00))
 
 
+K2, E1 = FamilySpec("complete", (2,)), FamilySpec("empty", (1,))
+
+
 class TestValueObjects:
     """Graph, FamilySpec and Coloring are immutable, hashable
     and picklable tuples; the validated ones reject bad input by name."""
@@ -160,6 +163,15 @@ class TestValueObjects:
             (lambda: FamilySpec("wheel", (5,)), "unknown family kind 'wheel'"),
             (lambda: Coloring((1, 1), 0), "colorings need at least one color"),
             (lambda: Coloring((1, 3), 2), "vertex colors must lie in 1..k"),
+            # a spec of another shape builds a graph of another order than
+            # family_degrees gives it: ~(K2,E1) would have 2 vertices, 3 degrees
+            (lambda: FamilySpec("complement", parts=(K2, E1)), "complement needs exactly one part, got 2"),
+            (lambda: FamilySpec("complement"), "complement needs exactly one part, got 0"),
+            (lambda: FamilySpec("blow_up", parts=(K2, K2), pieces=[(1, "empty")] * 2),
+             "blow_up needs exactly one part, got 2"),
+            (lambda: FamilySpec("blow_up"), "blow_up needs exactly one part, got 0"),
+            (lambda: FamilySpec("union"), "union needs at least one part"),
+            (lambda: FamilySpec("join"), "join needs at least one part"),
         ],
     )
     def test_invalid_input_messages(self, make, message):

@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from symbreak import (
     Graph6Error,
+    GraphError,
     OrderLimitError,
     are_isomorphic,
     blow_up,
@@ -319,6 +320,11 @@ class TestEnumeration:
     def test_order_bound(self):
         with pytest.raises(OrderLimitError):
             list(enumerate_graphs(8))
+
+    def test_a_negative_order_is_bad_input_not_an_order_over_the_bound(self):
+        with pytest.raises(GraphError) as err:
+            list(enumerate_graphs(-1))
+        assert type(err.value) is GraphError
 
     @pytest.mark.parametrize("n", range(6))
     def test_generator_matches_brute_force_classes(self, n):

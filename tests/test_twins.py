@@ -94,8 +94,7 @@ class TestTwinGraph:
         structure = twin_graph(complete_multipartite_graph(2, 3))
         assert structure.quotient.n == 2
         assert structure.quotient.edge_count == 1
-        assert structure.types == ("N", "N")
-        assert structure.alpha == 2
+        assert structure.labels == ((2, "N"), (3, "N"))
 
     def test_apex_over_clique_plus_isolated(self):
         # one vertex joined to (K_t plus one isolated vertex), t = 3
@@ -103,15 +102,14 @@ class TestTwinGraph:
         spec = FamilySpec("join", parts=(k1, FamilySpec("union", parts=(k3, k1))))
         structure = twin_graph(construct_family(spec))
         assert structure.quotient.n == 3
-        assert sorted(structure.types) == ["1", "1", "K"]
-        assert structure.alpha == 1
+        assert sorted(structure.labels) == [(1, "1"), (1, "1"), (3, "K")]
 
     def test_asymmetric_graph_has_trivial_structure(self):
         g = broom_tree(3)
         # uncached, since the cache may hold an equal graph built earlier
         structure = twin_graph.__wrapped__(g)
         assert structure.quotient is g
-        assert structure.alpha == 0
+        assert structure.labels == ((1, "1"),) * g.n
         # a graph with twins gets its own, smaller quotient
         blown = blow_up(g, [(2, "complete")] + [(1, "empty")] * (g.n - 1))
         assert twin_graph.__wrapped__(blown).quotient is not blown
@@ -119,8 +117,17 @@ class TestTwinGraph:
 
     def test_diamond_types(self):
         structure = twin_graph(join(complete_graph(2), complement(complete_graph(2))))
-        assert sorted(structure.types) == ["K", "N"]
-        assert structure.max_class_size() == 2
+        assert sorted(structure.labels) == [(2, "K"), (2, "N")]
+
+    @pytest.mark.parametrize("n", range(7))
+    def test_labels_are_class_sizes_and_types_read_off_adjacency(self, n):
+        for g in enumerate_graphs(n):
+            labels = []
+            for cls in twin_graph(g).classes:
+                pairs = [g.has_edge(u, v) for i, u in enumerate(cls) for v in cls[i + 1 :]]
+                kind = "1" if not pairs else "K" if all(pairs) else "N" if not any(pairs) else "?"
+                labels.append((len(cls), kind))
+            assert twin_graph(g).labels == tuple(labels)
 
 
 class TestAlmostAsymmetric:
@@ -131,7 +138,7 @@ class TestAlmostAsymmetric:
         g = complete_multipartite_graph(2, 3)
         assert not class_symmetries(g)
         assert distinguishing_number(g) == 3
-        assert twin_graph(g).max_class_size() == 3
+        assert max(size for size, _ in twin_graph(g).labels) == 3
 
     def test_p4_endpoint_swap_crosses_singletons(self):
         assert class_symmetries(path_graph(4))
@@ -140,7 +147,7 @@ class TestAlmostAsymmetric:
     def test_rule_on_all_small_graphs(self, n):
         for g in enumerate_graphs(n):
             if not class_symmetries(g):
-                assert distinguishing_number(g) == twin_graph(g).max_class_size()
+                assert distinguishing_number(g) == max(size for size, _ in twin_graph(g).labels)
 
 
 class TestRoundTrip:
@@ -148,10 +155,7 @@ class TestRoundTrip:
     def test_blow_up_of_quotient_recovers_graph(self, n):
         for g in enumerate_graphs(n):
             structure = twin_graph(g)
-            parts = [
-                (len(cls), "complete" if t == "K" else "empty")
-                for cls, t in zip(structure.classes, structure.types)
-            ]
+            parts = [(size, "complete" if t == "K" else "empty") for size, t in structure.labels]
             rebuilt = blow_up(structure.quotient, parts)
             assert are_isomorphic(rebuilt, g)
 
