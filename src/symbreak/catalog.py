@@ -110,10 +110,6 @@ def _combinator(kind: str) -> Callable[..., FamilySpec]:
     return lambda *parts: FamilySpec(kind, parts=parts)
 
 
-def BU(base: FamilySpec, *pieces: tuple[int, str]) -> FamilySpec:
-    return FamilySpec("blow_up", parts=(base,), pieces=pieces)
-
-
 K = _leaf("complete")
 E = _leaf("empty")
 P = _leaf("path")
@@ -121,6 +117,7 @@ C = _leaf("cycle")
 B = M = _leaf("complete_multipartite")
 U = _combinator("union")
 J = _combinator("join")
+BU = _combinator("blow_up")
 HOUSE = FamilySpec("house")
 BULL = FamilySpec("bull")
 
@@ -216,10 +213,10 @@ _THEOREMS: dict[TheoremId, _Theorem] = {
             FamilyEntry(36, None, _const(U(K(1), J(K(1), B(2, 2))))),
             FamilyEntry(37, None, _const(J(K(1), U(K(1), B(2, 2))))),
             FamilyEntry(38, None, _const(U(K(1), J(K(1), U(K(2), K(2)))))),
-            FamilyEntry(39, 2, lambda t: BU(P(4), (1, "complete"), (t, "complete"), (1, "complete"), (1, "complete"))),
-            FamilyEntry(40, 2, lambda t: BU(P(4), (t, "empty"), (1, "complete"), (1, "complete"), (1, "complete"))),
-            FamilyEntry(41, 2, lambda t: BU(P(4), (1, "complete"), (t, "empty"), (1, "complete"), (1, "complete"))),
-            FamilyEntry(42, 2, lambda t: BU(P(4), (t, "complete"), (1, "complete"), (1, "complete"), (1, "complete"))),
+            FamilyEntry(39, 2, lambda t: BU(P(4), K(1), K(t), K(1), K(1))),
+            FamilyEntry(40, 2, lambda t: BU(P(4), E(t), K(1), K(1), K(1))),
+            FamilyEntry(41, 2, lambda t: BU(P(4), K(1), E(t), K(1), K(1))),
+            FamilyEntry(42, 2, lambda t: BU(P(4), K(t), K(1), K(1), K(1))),
         ),
     ),
 }
@@ -267,8 +264,9 @@ def _members(theorem: TheoremId, n: int):
     for entry, erratum in rows:
         t = entry.t_min
         if t is not None:
-            first = entry.make(t)  # only a blow-up has pieces; their sizes sum to its order
-            t += n - (sum(size for size, _ in first.pieces) or len(family_degrees(first)))
+            first = entry.make(t)  # a blow-up's pieces give its order without building its base
+            pieces = first.parts[1:] if first.kind == "blow_up" else (first,)
+            t += n - sum(len(family_degrees(piece)) for piece in pieces)
             if t < entry.t_min:
                 continue
         family = entry.make(0 if t is None else t)

@@ -6,10 +6,11 @@ Grammar (whitespace is ignored)::
             | atom
     atom   := 'U' '(' expr, ... ')'   disjoint union
             | 'J' '(' expr, ... ')'   join
-            | 'B' '(' expr, piece, ... ')'   blow-up; piece is K<int> or E<int>
+            | 'B' '(' expr, piece, ... ')'   blow-up of the base expr
             | '~' atom                complement
             | '(' expr ')'
             | leaf
+    piece  := 'K' INT | 'E' INT       the part replacing one base vertex
     leaf   := 'K' INT                 complete graph
             | 'E' INT                 empty graph
             | 'P' INT                 path
@@ -19,10 +20,12 @@ Grammar (whitespace is ignored)::
             | 'bull'                  triangle with two pendant vertices
             | 'K' '(' INT, INT, ... ')'   complete multipartite
 
-The leaves are the entries of :data:`symbreak.graphs.LEAF_KINDS`; the
-parser and :func:`format_spec` read their names from that table.  INT is
-ASCII digits with a value of at most :data:`symbreak.graphs.MAX_VERTICES`,
-and nesting is bounded by ``_MAX_NESTING``.
+The leaves are the entries of :data:`symbreak.graphs.LEAF_KINDS` and the
+combinators those of :data:`symbreak.graphs._COMBINATORS`; the parser and
+:func:`format_spec` read their names and letters from these two tables.
+INT is ASCII digits with a value of at most
+:data:`symbreak.graphs.MAX_VERTICES`, and nesting is bounded by
+``_MAX_NESTING``.
 
 Examples: ``K(3,3)``, ``J(K1,U(K1,2*K2))``, ``B(P4,K1,E3,K1,K1)``, ``~C5``.
 """
@@ -32,12 +35,14 @@ from __future__ import annotations
 import itertools
 from typing import Callable
 
-from .graphs import LEAF_KINDS, MAX_VERTICES, FamilySpec
+from .graphs import _COMBINATORS, LEAF_KINDS, MAX_VERTICES, FamilySpec
 
 #: Deepest nesting the parser accepts, where every ``expr`` and ``atom`` in
 #: the grammar counts one level (``K1`` is two, ``~~K1`` and ``(K1)`` four).
 #: It keeps parsing and construction well inside the recursion limit.
 _MAX_NESTING = 100
+
+_KIND_OF_LETTER = {letter: kind for kind, letter in _COMBINATORS.items()}
 
 
 class ExpressionError(ValueError):
@@ -109,27 +114,21 @@ class _Parser:
     @_nested
     def atom(self) -> FamilySpec:
         ch = self.peek()
-        if ch == "~":
-            self.take("~")
-            return FamilySpec("complement", parts=(self.atom(),))
         if ch == "(":
             self.take("(")
             sub = self.expr()
             self.take(")")
             return sub
-        if ch == "U":
-            self.take("U")
-            return FamilySpec("union", parts=self.args(self.expr))
-        if ch == "J":
-            self.take("J")
-            return FamilySpec("join", parts=self.args(self.expr))
-        if ch == "B":
-            self.take("B")
-            base, *pieces = self.args(self.expr, self.piece)
-            if not pieces:
-                raise self.error("B(...) needs blow-up pieces after the base")
-            return FamilySpec("blow_up", parts=(base,), pieces=tuple(pieces))
-        return self.leaf()
+        kind = _KIND_OF_LETTER.get(ch)
+        if kind is None:
+            return self.leaf()
+        self.take(ch)
+        if kind == "complement":
+            return FamilySpec(kind, parts=(self.atom(),))
+        parts = self.args(self.expr, self.piece if kind == "blow_up" else None)
+        if kind == "blow_up" and len(parts) == 1:
+            raise self.error(f"{ch}(...) needs blow-up pieces after the base")
+        return FamilySpec(kind, parts=parts)
 
     def leaf(self) -> FamilySpec:
         start = self.pos
@@ -155,14 +154,10 @@ class _Parser:
             self.pos += 1
         return True
 
-    def piece(self) -> tuple[int, str]:
-        ch = self.peek()
-        if ch == "K":
-            self.take("K")
-            return (self.integer(), "complete")
-        if ch == "E":
-            self.take("E")
-            return (self.integer(), "empty")
+    def piece(self) -> FamilySpec:
+        for kind in ("complete", "empty"):
+            if self.word(LEAF_KINDS[kind].name):
+                return FamilySpec(kind, (self.integer(),))
         raise self.error("blow-up pieces must be K<int> or E<int>")
 
     def args(self, first: Callable, rest: Callable | None = None) -> tuple:
@@ -197,31 +192,18 @@ def format_spec(spec: FamilySpec) -> str:
     if leaf is not None:
         params = ",".join(str(p) for p in spec.params)
         return f"{leaf.name}({params})" if leaf.arity == 2 else leaf.name + params
+    letter = _COMBINATORS[kind]
     if kind == "complement":
-        return "~" + _atomic(spec.parts[0])
-    if kind in ("union", "join"):
-        # The m* shorthand means m disjoint copies, so runs may only be
-        # collapsed inside unions.
-        if kind == "union":
-            runs = [(part, len(list(run))) for part, run in itertools.groupby(spec.parts)]
-        else:
-            runs = [(part, 1) for part in spec.parts]
-        groups = [format_spec(p) if m == 1 else f"{m}*{format_spec(p)}" for p, m in runs]
-        letter = "U" if kind == "union" else "J"
-        if len(groups) == 1:
-            return groups[0]
-        return f"{letter}(" + ",".join(groups) + ")"
-    if kind == "blow_up":
-        pieces = ",".join(
-            ("K" if piece_kind == "complete" else "E") + str(size)
-            for size, piece_kind in spec.pieces
-        )
-        return f"B({format_spec(spec.parts[0])},{pieces})"
-    raise ExpressionError(f"cannot format family kind {kind!r}")
-
-
-def _atomic(spec: FamilySpec) -> str:
-    rendered = format_spec(spec)
-    if spec.kind in ("union", "join", "blow_up") or "*" in rendered:
-        return "(" + rendered + ")"
-    return rendered
+        # a complement's operand is an atom, which the m* shorthand is not
+        rendered = format_spec(spec.parts[0])
+        return letter + (f"({rendered})" if _is_digit(rendered[0]) else rendered)
+    # The m* shorthand means m disjoint copies, so runs may only be
+    # collapsed inside unions.
+    if kind == "union":
+        runs = [(part, len(list(run))) for part, run in itertools.groupby(spec.parts)]
+    else:
+        runs = [(part, 1) for part in spec.parts]
+    groups = [format_spec(p) if m == 1 else f"{m}*{format_spec(p)}" for p, m in runs]
+    if len(groups) == 1:
+        return groups[0]
+    return f"{letter}(" + ",".join(groups) + ")"

@@ -258,15 +258,15 @@ def diameter(g: Graph) -> int:
 # Named families
 # ---------------------------------------------------------------------------
 
-#: The kinds that combine sub-specs; every other kind is a key of LEAF_KINDS.
-_COMBINATORS = ("complement", "union", "join", "blow_up")
+#: The kinds that combine sub-specs, each with the letter that writes it in
+#: the expression language; every other kind is a key of LEAF_KINDS.
+_COMBINATORS = {"complement": "~", "union": "U", "join": "J", "blow_up": "B"}
 
 
 class _FamilySpecFields(NamedTuple):
     kind: str
     params: tuple[int, ...]
     parts: tuple[FamilySpec, ...]
-    pieces: tuple[tuple[int, str], ...]
 
 
 class FamilySpec(_FamilySpecFields):
@@ -274,25 +274,34 @@ class FamilySpec(_FamilySpecFields):
 
     A leaf kind is a key of :data:`LEAF_KINDS` and carries the integer
     parameters of its builder.  The combinators ``union``, ``join`` and
-    ``complement`` combine sub-specs; ``blow_up`` pairs a base spec with a
-    tuple of ``(size, "complete"|"empty")`` pieces.  Every closed formula
-    appearing in the characterisation catalogs is expressible as one of
-    these trees, so no family needs bespoke construction code.  A
-    complement or blow-up has exactly one part, a union or join at least one.
+    ``complement`` combine sub-specs; the parts of a ``blow_up`` are its
+    base spec and then one ``complete`` or ``empty`` leaf per base vertex,
+    the piece that replaces it.  Every closed formula appearing in the
+    characterisation catalogs is expressible as one of these trees, so no
+    family needs bespoke construction code.  A complement has exactly one
+    part, a union or join at least one, a blow-up at least one piece.
     """
 
     __slots__ = ()
 
-    def __new__(cls, kind: str, params=(), parts=(), pieces=()) -> FamilySpec:
+    def __new__(cls, kind: str, params=(), parts=()) -> FamilySpec:
         parts = tuple(parts)
         if kind not in LEAF_KINDS:
             if kind not in _COMBINATORS:
                 raise GraphError(f"unknown family kind {kind!r}")
-            if kind in ("complement", "blow_up") and len(parts) != 1:
-                raise GraphError(f"{kind} needs exactly one part, got {len(parts)}")
+            if kind == "complement" and len(parts) != 1:
+                raise GraphError(f"complement needs exactly one part, got {len(parts)}")
             if not parts:
                 raise GraphError(f"{kind} needs at least one part")
-        return tuple.__new__(cls, (kind, tuple(params), parts, tuple(map(tuple, pieces))))
+            if kind == "blow_up":
+                if len(parts) == 1:
+                    raise GraphError("blow_up needs at least one piece after its base")
+                for piece in parts[1:]:
+                    if piece.kind not in ("complete", "empty"):
+                        raise GraphError(
+                            f"blow_up pieces must be complete or empty leaves, got {piece.kind!r}"
+                        )
+        return tuple.__new__(cls, (kind, tuple(params), parts))
 
 
 def path_graph(n: int) -> Graph:
@@ -405,14 +414,12 @@ def family_degrees(spec: FamilySpec) -> tuple[int, ...]:
         return leaf.degrees(*spec.params)
     if spec.kind == "blow_up":
         base = construct_family(spec.parts[0])
-        if len(spec.pieces) != base.n:
-            raise GraphError(f"expected {base.n} parts, got {len(spec.pieces)}")
-        sizes = [size for size, _ in spec.pieces]
-        degrees = []
-        for (size, kind), row in zip(spec.pieces, base.adj):
-            inner = size - 1 if kind == "complete" else 0
-            degrees += [inner + sum(sizes[j] for j in _bits(row))] * size
-        return tuple(degrees)
+        pieces = spec.parts[1:]
+        if len(pieces) != base.n:
+            raise GraphError(f"expected {base.n} parts, got {len(pieces)}")
+        inner = [family_degrees(piece) for piece in pieces]
+        outer = [sum(len(inner[j]) for j in _bits(row)) for row in base.adj]
+        return tuple(d + out for part, out in zip(inner, outer) for d in part)
     parts = [family_degrees(sub) for sub in spec.parts]
     if spec.kind == "union":
         return sum(parts, ())
@@ -427,9 +434,10 @@ def construct_family(spec: FamilySpec) -> Graph:
     leaf = LEAF_KINDS.get(spec.kind)
     if leaf is not None:
         return leaf.build(*spec.params)
+    if spec.kind == "blow_up":
+        base, *pieces = spec.parts
+        return blow_up(construct_family(base), [(piece.params[0], piece.kind) for piece in pieces])
     parts = [construct_family(sub) for sub in spec.parts]
     if spec.kind == "complement":
         return complement(parts[0])
-    if spec.kind == "blow_up":
-        return blow_up(parts[0], spec.pieces)
     return reduce(disjoint_union if spec.kind == "union" else join, parts)

@@ -133,8 +133,6 @@ def _min_hitting_set(sets: list[int]) -> list[int]:
             rest.append(mask)
             options = mask & allowed
             count = options.bit_count()
-            if not count:
-                return
             if not options & covered:
                 bound += 1
                 if size + bound >= best[0].bit_count():

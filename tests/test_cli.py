@@ -17,6 +17,7 @@ from hypothesis import strategies as st
 import symbreak
 from symbreak import broom_tree, construct_family, load_graph6_file, parse_expression, write_graph6
 from symbreak.cli import _COMMANDS, _GRAMMAR, main
+from symbreak.resolving import ResolvingWitness
 from symbreak.symmetry import class_symmetries
 
 from conftest import graphs
@@ -65,6 +66,11 @@ class TestAnalyze:
         assert "matched: Dn2 entry 15  J(K1,2*K2) (erratum)" in out
         code, out, _ = run_cli(capsys, "analyze", "P4", "--format", "text")
         assert "(erratum)" not in out
+
+    def test_text_format_says_when_no_row_matches(self, capsys):
+        code, out, _ = run_cli(capsys, "analyze", "P6", "--format", "text")
+        assert code == 0
+        assert out.splitlines()[-1] == "matched: none"
 
     def test_unparsable_input_exits_2(self, capsys):
         code, _, err = run_cli(capsys, "analyze", "totally bogus ###")
@@ -221,6 +227,72 @@ class TestVerify:
         assert reports[0]["verdict"] == "NOT_APPLICABLE"
         assert reports[1]["verdict"] == "PASS"
 
+    def test_not_applicable_orders_are_skipped_in_text(self, capsys):
+        code, out, _ = run_cli(capsys, "verify", "Dn3", "--n", "4..5", "--format", "text")
+        assert code == 1  # the paper's rows miss three graphs of order 5
+        lines = out.splitlines()
+        assert lines[0] == "[SKIP] Dn3 n=4: Dn3 applies to orders >= 5, got 4"
+        assert lines[1].startswith("[FAIL] Dn3 n=5: scanned=34 matched=14 mismatches=3 ")
+
+    @pytest.mark.parametrize(
+        "argv, wrong, mismatches",
+        [
+            pytest.param(
+                ["bound", "--n", "3"],
+                {"distinguishing_number": lambda g: 5, "is_distinguishing": lambda g, coloring: False},
+                [("BW", "D <= dim+1 = 2", "D = 5"),
+                 ("BW", "resolving-set coloring distinguishes", "it does not"),
+                 ("Bw", "D <= dim+1 = 3", "D = 5"),
+                 ("Bw", "resolving-set coloring distinguishes", "it does not")],
+                id="bound",
+            ),
+            pytest.param(
+                ["construction", "--max", "2"],
+                {"metric_dimension": lambda g: ResolvingWitness(0, ())},
+                [("Fp_GG", "D=1 dim=2", "D=1 dim=0")],
+                id="construction",
+            ),
+            pytest.param(
+                ["Dn", "--n", "4"],
+                {"distinguishing_number": lambda g: 1},
+                [("C~", "D = 4 (K4)", "D = 1"), ("C?", "D = 4 (E4)", "D = 1")],
+                id="catalog-row",
+            ),
+        ],
+    )
+    def test_a_wrong_answer_fails_with_its_counterexamples(
+        self, capsys, monkeypatch, argv, wrong, mismatches
+    ):
+        for name, fake in wrong.items():
+            monkeypatch.setattr(f"symbreak.verify.{name}", fake)
+        code, out, _ = run_cli(capsys, "verify", *argv)
+        assert code == 1
+        (report,) = json.loads(out)
+        assert report["verdict"] == "FAIL" and report["matched"] == 0
+        assert [(m["graph6"], m["expected"], m["actual"]) for m in report["mismatches"]] == mismatches
+        code, out, _ = run_cli(capsys, "verify", *argv, "--format", "text")
+        assert code == 1 and out.startswith("[FAIL] ")
+        assert out.splitlines()[1:] == [
+            f"    counterexample {g6}: expected {expected}, got {actual}"
+            for g6, expected, actual in mismatches
+        ]
+
+    def test_graphs_outside_coverage_are_excluded_not_asserted(self, capsys, monkeypatch):
+        monkeypatch.setattr("symbreak.verify.in_family_f", lambda g: False)
+        code, out, _ = run_cli(capsys, "verify", "Dn3", "--n", "5")
+        assert code == 0
+        (report,) = json.loads(out)
+        assert (report["verdict"], report["matched"], report["mismatches"]) == ("PASS", 0, [])
+        # the 14 paper-row instances of order 5, then the 17 graphs of order 5
+        # with D = 2 that the unpatched scan matches (14) or flags (3)
+        forward = [note for note in report["excluded"] if note.startswith("catalog ")]
+        assert forward[0] == "catalog DhC outside coverage, not asserted"
+        assert report["excluded"][:14] == forward and len(report["excluded"]) == 31
+        assert report["excluded"][14] == "D?K has D = 2 but lies outside coverage"
+        code, out, _ = run_cli(capsys, "verify", "Dn3", "--n", "5", "--format", "text")
+        assert code == 0
+        assert out.splitlines()[1:] == [f"    excluded: {note}" for note in report["excluded"]]
+
     @pytest.mark.parametrize(
         ("target", "orders", "first"), [("Dn2", "1..3", 4), ("Dn3", "4", 5), ("Dn3", "1..4", 5)]
     )
@@ -354,6 +426,8 @@ class TestVerify:
             # a non-ASCII byte (UTF-8 for e-acute) on line 3, after a blank line
             ("C~\n\nD\u00e9\n".encode("utf-8"), "3: byte 195 out of the graph6 range"),
             (b"C~\nC~~\n", "2: graph6 body for order 4 must be 1 bytes, got 2"),
+            (b"C~\n~?\n", "2: truncated graph6 long-form header"),
+            (b"~?@@\n", "1: graph6 order 65 exceeds the 64-vertex cap"),
         ],
     )
     def test_graph6_file_errors_exit_2_naming_the_line(self, capsys, tmp_path, content, where):
@@ -425,6 +499,15 @@ class TestEnumerate:
         rows = list(csv.DictReader(io.StringIO(out)))
         assert code == 0
         assert len(rows) == 4
+
+    def test_filter_by_metric_dimension(self, capsys):
+        _, out, _ = run_cli(capsys, "enumerate", "--n", "5")
+        every = list(csv.DictReader(io.StringIO(out)))
+        code, out, _ = run_cli(capsys, "enumerate", "--n", "5", "--dim", "2")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert rows and rows == [row for row in every if row["dim"] == "2"]
+        assert len(rows) < len(every)
 
     def test_full_palette_rows_at_order_5(self, capsys):
         code, out, _ = run_cli(capsys, "enumerate", "--n", "5", "--d", "5")

@@ -107,6 +107,11 @@ class TestFormatting:
             "~C5",
             "B(P4,K1,E2,K1,K1)",
             "J(K2,2*K2)",
+            "(K3)",
+            "~(2*K2)",
+            "2*(U(K1,K2))",
+            "~J(K1,K2)",
+            "~B(P3,K2,E1,K2)",
         ],
     )
     def test_round_trip_through_formatter(self, text):
@@ -137,7 +142,8 @@ class TestFormatting:
          "J(P5,C6,E3)", "U(T4,~C7,K(1,4))", "B(C5,K3,E1,K2,E4,K1)", "B(bull,E2,K1,E1,K3,E2)",
          "~B(J(K1,P3),K2,E3,K1,E4)", "J(K1,U(K2,B(P3,K2,E1,K3)))", "B(E3,K2,E2,K1)",
          "U(P4)", "J(C5)", "~~P5", "~U(K2,E3,P3)", "J(~C5,U(K1,E2))", "B(~P4,K2,E1,E3,K1)",
-         "B(B(P2,K2,E1),E2,K1,K3)", "U(B(K2,E2,K3),~J(E2,P3))"],
+         "B(B(P2,K2,E1),E2,K1,K3)", "U(B(K2,E2,K3),~J(E2,P3))", "(K3)", "~(2*K2)",
+         "2*(U(K1,K2))", "~J(K1,K2)", "~B(P3,K2,E1,K2)"],
     )
     def test_degrees_are_the_built_degree_sequence(self, text):
         spec = parse_expression(text)
@@ -161,6 +167,21 @@ class TestFormatting:
 
     def test_collapses_repeated_union_operands(self):
         assert format_spec(parse_expression("U(K2,K2,K2)")) == "3*K2"
+
+    @pytest.mark.parametrize(
+        "text, rendered",
+        [("~U(K1,K2)", "~U(K1,K2)"), ("~J(K1,K2)", "~J(K1,K2)"), ("~B(P3,K2,E1,K2)", "~B(P3,K2,E1,K2)"),
+         ("~U(K2,K2)", "~(2*K2)"), ("~~U(K1,K1)", "~~(2*K1)"), ("~U(2*K2,K1)", "~U(2*K2,K1)")],
+    )
+    def test_a_complement_parenthesises_only_the_copy_shorthand(self, text, rendered):
+        assert format_spec(parse_expression(text)) == rendered
+        assert parse_expression(rendered) == parse_expression(text)
+
+    def test_a_blow_up_is_its_base_then_one_leaf_per_base_vertex(self):
+        path, k1, e3 = FamilySpec("path", (4,)), FamilySpec("complete", (1,)), FamilySpec("empty", (3,))
+        spec = parse_expression("B(P4,K1,E3,K1,K1)")
+        assert spec == FamilySpec("blow_up", parts=(path, k1, e3, k1, k1))
+        assert format_spec(spec) == "B(P4,K1,E3,K1,K1)"
 
     def test_join_repeats_are_not_collapsed(self):
         rendered = format_spec(parse_expression("J(K2,K2)"))

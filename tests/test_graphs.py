@@ -117,9 +117,9 @@ class TestValueObjects:
     def test_lists_are_stored_as_tuples(self):
         # a stored list would leave the value unhashable, and every cached solver would raise
         g, coloring = Graph(2, [0b10, 0b01]), Coloring([1, 2], 2)
-        pieces = ((2, "complete"), (1, "empty"))
-        spec = FamilySpec("blow_up", parts=[FamilySpec("path", [2])], pieces=list(map(list, pieces)))
-        same = FamilySpec("blow_up", parts=(FamilySpec("path", (2,)),), pieces=pieces)
+        parts = [FamilySpec("path", [2]), FamilySpec("complete", [2]), FamilySpec("empty", [1])]
+        spec = FamilySpec("blow_up", parts=parts)
+        same = FamilySpec("blow_up", parts=(FamilySpec("path", (2,)), K2, E1))
         assert type(g.adj) is type(coloring.colors) is tuple
         assert g == complete_graph(2) and hash(g) == hash(complete_graph(2))
         assert coloring == Coloring((1, 2), 2) and hash(coloring) == hash(Coloring((1, 2), 2))
@@ -167,11 +167,20 @@ class TestValueObjects:
             # family_degrees gives it: ~(K2,E1) would have 2 vertices, 3 degrees
             (lambda: FamilySpec("complement", parts=(K2, E1)), "complement needs exactly one part, got 2"),
             (lambda: FamilySpec("complement"), "complement needs exactly one part, got 0"),
-            (lambda: FamilySpec("blow_up", parts=(K2, K2), pieces=[(1, "empty")] * 2),
-             "blow_up needs exactly one part, got 2"),
-            (lambda: FamilySpec("blow_up"), "blow_up needs exactly one part, got 0"),
+            (lambda: FamilySpec("blow_up", parts=(K2, K2, FamilySpec("path", (1,)))),
+             "blow_up pieces must be complete or empty leaves, got 'path'"),
+            (lambda: FamilySpec("blow_up"), "blow_up needs at least one part"),
+            (lambda: FamilySpec("blow_up", parts=(K2,)), "blow_up needs at least one piece after its base"),
+            (lambda: FamilySpec("blow_up", parts=(K2, FamilySpec("union", parts=(E1,)), E1)),
+             "blow_up pieces must be complete or empty leaves, got 'union'"),
             (lambda: FamilySpec("union"), "union needs at least one part"),
             (lambda: FamilySpec("join"), "join needs at least one part"),
+            (lambda: distinguishing_number(Graph(0, ())), "distinguishing number needs at least one vertex"),
+            (lambda: metric_dimension(Graph(0, ())), "metric dimension needs at least one vertex"),
+            (lambda: join(complete_graph(40), empty_graph(25)), "join order 65 exceeds the 64-vertex cap"),
+            (lambda: blow_up(complete_graph(2), [(40, "complete"), (25, "empty")]),
+             "blow-up order 65 exceeds the 64-vertex cap"),
+            (lambda: complete_multipartite_graph(3), "complete multipartite graphs need at least two parts"),
         ],
     )
     def test_invalid_input_messages(self, make, message):
