@@ -35,11 +35,14 @@ from .graphs import (
     FamilySpec,
     Graph,
     GraphError,
+    blow_up,
     broom_tree,
     build_graph,
+    complete_graph,
     construct_family,
     diameter,
     family_degrees,
+    family_order,
     is_connected,
 )
 from .isomorphism import are_isomorphic, write_graph6
@@ -264,9 +267,7 @@ def _members(theorem: TheoremId, n: int):
     for entry, erratum in rows:
         t = entry.t_min
         if t is not None:
-            first = entry.make(t)  # a blow-up's pieces give its order without building its base
-            pieces = first.parts[1:] if first.kind == "blow_up" else (first,)
-            t += n - sum(len(family_degrees(piece)) for piece in pieces)
+            t += n - family_order(entry.make(t))
             if t < entry.t_min:
                 continue
         family = entry.make(0 if t is None else t)
@@ -393,19 +394,14 @@ def construction_graph(d_target: int, dim_target: int) -> Graph:
     dimension is ``dim_target``, for any 1 <= d_target < dim_target.
 
     For d_target 1 this is the asymmetric broom tree with dim_target + 1
-    pendant paths; otherwise the root of a smaller broom tree is joined to
-    every vertex of a complete graph on d_target vertices, whose mutually
-    twin vertices are the only symmetry left.
+    pendant paths; otherwise a smaller broom tree gets one more pendant
+    vertex at its root, blown up into a complete graph on d_target vertices,
+    whose mutually twin vertices are the only symmetry left.
     """
     if not 1 <= d_target < dim_target:
         raise GraphError("the construction needs 1 <= d_target < dim_target")
     if d_target == 1:
         return broom_tree(dim_target + 1)
     tree = broom_tree(dim_target - d_target + 2)
-    edges = tree.edges()
-    base = tree.n
-    for a in range(d_target):
-        edges.append((0, base + a))
-        for b in range(a + 1, d_target):
-            edges.append((base + a, base + b))
-    return build_graph(tree.n + d_target, edges)
+    stem = build_graph(tree.n + 1, [*tree.edges(), (0, tree.n)])
+    return blow_up(stem, [complete_graph(1)] * tree.n + [complete_graph(d_target)])

@@ -35,7 +35,7 @@ from __future__ import annotations
 import itertools
 from typing import Callable
 
-from .graphs import _COMBINATORS, LEAF_KINDS, MAX_VERTICES, FamilySpec
+from .graphs import _COMBINATORS, LEAF_KINDS, MAX_VERTICES, FamilySpec, GraphError
 
 #: Deepest nesting the parser accepts, where every ``expr`` and ``atom`` in
 #: the grammar counts one level (``K1`` is two, ``~~K1`` and ``(K1)`` four).
@@ -126,8 +126,6 @@ class _Parser:
         if kind == "complement":
             return FamilySpec(kind, parts=(self.atom(),))
         parts = self.args(self.expr, self.piece if kind == "blow_up" else None)
-        if kind == "blow_up" and len(parts) == 1:
-            raise self.error(f"{ch}(...) needs blow-up pieces after the base")
         return FamilySpec(kind, parts=parts)
 
     def leaf(self) -> FamilySpec:
@@ -141,8 +139,6 @@ class _Parser:
             if (self.peek() == "(") != (leaf.arity == 2):
                 continue
             params = self.args(self.integer) if leaf.arity == 2 else (self.integer(),)
-            if len(params) < leaf.arity:
-                raise self.error(f"{leaf.name}(...) needs at least two parameters")
             return FamilySpec(kind, params)
         self.pos = start
         raise self.error("expected a family expression")
@@ -175,7 +171,10 @@ class _Parser:
 def parse_expression(text: str) -> FamilySpec:
     """Parse a family expression; raises :class:`ExpressionError` otherwise."""
     parser = _Parser(text)
-    spec = parser.expr()
+    try:
+        spec = parser.expr()
+    except GraphError as err:  # a FamilySpec refused, at the position it was built
+        raise parser.error(str(err)) from None
     if parser.peek():
         raise parser.error("trailing input")
     return spec

@@ -1,16 +1,18 @@
-"""Immutable bit-row graphs and the standard constructions built on them.
+"""Immutable bit-row graphs, and every composed graph as one substitution.
 
 Vertices are the integers ``0..n-1``.  Adjacency is stored as one integer
 bitmask per vertex, so neighbourhood algebra (union, intersection,
 complement) costs a couple of machine-word operations.  Orders above 64 are
-rejected, which keeps every row inside a single word; everything this
-package verifies exhaustively lives far below that.
+rejected, which keeps every row inside a single word.  :func:`blow_up` puts
+a graph in place of each vertex of a base graph; unions, joins, complete
+multipartite graphs and the family blow-ups are all built by it.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
-from functools import cached_property, reduce
+from functools import cached_property
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 MAX_VERTICES = 64
@@ -190,57 +192,37 @@ def complement(g: Graph) -> Graph:
 
 
 def disjoint_union(g: Graph, h: Graph) -> Graph:
-    """Concatenate the vertex sets with no edges between the parts."""
-    n = g.n + h.n
-    if n > MAX_VERTICES:
-        raise GraphError(f"union order {n} exceeds the {MAX_VERTICES}-vertex cap")
-    rows = list(g.adj) + [row << g.n for row in h.adj]
-    return _unchecked_graph(n, tuple(rows))
+    """The paper's ``G ∪ H``: the vertices of ``g``, then those of ``h``."""
+    return blow_up(empty_graph(2), [g, h])
 
 
 def join(g: Graph, h: Graph) -> Graph:
-    """Disjoint union plus every edge between the two parts."""
-    n = g.n + h.n
-    if n > MAX_VERTICES:
-        raise GraphError(f"join order {n} exceeds the {MAX_VERTICES}-vertex cap")
-    g_mask = (1 << g.n) - 1
-    h_mask = ((1 << h.n) - 1) << g.n
-    rows = [row | h_mask for row in g.adj]
-    rows += [(row << g.n) | g_mask for row in h.adj]
-    return _unchecked_graph(n, tuple(rows))
+    """The paper's ``G ∨ H``: their disjoint union plus every edge between them."""
+    return blow_up(complete_graph(2), [g, h])
 
 
-def blow_up(g: Graph, parts: Sequence[tuple[int, str]]) -> Graph:
-    """Replace vertex ``i`` of ``g`` by a complete or empty part.
+def blow_up(g: Graph, parts: Sequence[Graph]) -> Graph:
+    """Substitute the graph ``parts[i]`` for vertex ``i`` of ``g``.
 
-    ``parts[i]`` is ``(size, kind)`` with kind ``"complete"`` or ``"empty"``.
-    Vertices of two distinct parts are fully joined exactly when the
-    corresponding vertices of ``g`` are adjacent.
+    Part ``i`` keeps its own edges and takes the next ``parts[i].n`` vertex
+    labels, so ``parts[0]``'s vertices come first.  Two parts are fully
+    joined exactly when their vertices of ``g`` are adjacent.
 
     Raises:
-        GraphError: if ``len(parts) != g.n``, a size is below 1, a kind is
-            unknown, or the total order overflows the cap.
+        GraphError: if ``len(parts) != g.n`` or the total order overflows the cap.
     """
     if len(parts) != g.n:
         raise GraphError(f"expected {g.n} parts, got {len(parts)}")
-    offsets = []
-    total = 0
-    for size, kind in parts:
-        if size < 1:
-            raise GraphError(f"part sizes must be at least 1, got {size}")
-        if kind not in ("complete", "empty"):
-            raise GraphError(f"unknown part kind {kind!r}")
-        offsets.append(total)
-        total += size
-    if total > MAX_VERTICES:
-        raise GraphError(f"blow-up order {total} exceeds the {MAX_VERTICES}-vertex cap")
-    masks = [((1 << size) - 1) << base for (size, _), base in zip(parts, offsets)]
+    offsets = [0]
+    for part in parts:
+        offsets.append(offsets[-1] + part.n)
+    _check_order(offsets[-1])
+    masks = [(1 << end) - (1 << start) for start, end in zip(offsets, offsets[1:])]
     rows = []
-    for i, (size, kind) in enumerate(parts):
+    for i, part in enumerate(parts):
         outside = sum(masks[j] for j in _bits(g.adj[i]))
-        inside = masks[i] if kind == "complete" else 0
-        rows += [outside | inside & ~(1 << v) for v in range(offsets[i], offsets[i] + size)]
-    return _unchecked_graph(total, tuple(rows))
+        rows += [outside | row << offsets[i] for row in part.adj]
+    return _unchecked_graph(offsets[-1], tuple(rows))
 
 
 def is_connected(g: Graph) -> bool:
@@ -272,36 +254,50 @@ class _FamilySpecFields(NamedTuple):
 class FamilySpec(_FamilySpecFields):
     """A recursive description of a named graph family instance.
 
-    A leaf kind is a key of :data:`LEAF_KINDS` and carries the integer
-    parameters of its builder.  The combinators ``union``, ``join`` and
-    ``complement`` combine sub-specs; the parts of a ``blow_up`` are its
-    base spec and then one ``complete`` or ``empty`` leaf per base vertex,
-    the piece that replaces it.  Every closed formula appearing in the
-    characterisation catalogs is expressible as one of these trees, so no
-    family needs bespoke construction code.  A complement has exactly one
-    part, a union or join at least one, a blow-up at least one piece.
+    A leaf kind is a key of :data:`LEAF_KINDS`, with as many integer
+    parameters as its ``arity`` asks and no parts.  The combinators
+    ``union``, ``join`` and ``complement`` combine sub-specs; the parts of a
+    ``blow_up`` are its base spec and then one ``complete`` or ``empty`` leaf
+    per base vertex (counted by :func:`family_order`), the piece that
+    replaces it.  A complement has exactly one part, a
+    union or join at least one.  A malformed spec raises :class:`GraphError`.
     """
 
     __slots__ = ()
 
     def __new__(cls, kind: str, params=(), parts=()) -> FamilySpec:
-        parts = tuple(parts)
-        if kind not in LEAF_KINDS:
-            if kind not in _COMBINATORS:
-                raise GraphError(f"unknown family kind {kind!r}")
-            if kind == "complement" and len(parts) != 1:
-                raise GraphError(f"complement needs exactly one part, got {len(parts)}")
-            if not parts:
-                raise GraphError(f"{kind} needs at least one part")
-            if kind == "blow_up":
-                if len(parts) == 1:
-                    raise GraphError("blow_up needs at least one piece after its base")
-                for piece in parts[1:]:
-                    if piece.kind not in ("complete", "empty"):
-                        raise GraphError(
-                            f"blow_up pieces must be complete or empty leaves, got {piece.kind!r}"
-                        )
-        return tuple.__new__(cls, (kind, tuple(params), parts))
+        params, parts = tuple(params), tuple(parts)
+        leaf = LEAF_KINDS.get(kind)
+        if leaf is not None:
+            if len(params) != leaf.arity and (leaf.arity < 2 or len(params) < 2):
+                count = ("no parameters", "one parameter", "at least two parameters")[leaf.arity]
+                raise GraphError(f"{leaf.name}{'(...)' if leaf.arity == 2 else ''} needs {count}")
+            if parts:
+                raise GraphError(f"{kind} is a leaf and has no parts, got {len(parts)}")
+        elif kind not in _COMBINATORS:
+            raise GraphError(f"unknown family kind {kind!r}")
+        elif kind == "complement" and len(parts) != 1:
+            raise GraphError(f"complement needs exactly one part, got {len(parts)}")
+        elif not parts:
+            raise GraphError(f"{kind} needs at least one part")
+        for part in parts:
+            if not isinstance(part, FamilySpec):
+                raise GraphError(f"{kind} parts must be FamilySpecs, got {part!r}")
+        if kind == "blow_up":
+            pieces = parts[1:]
+            if not pieces:
+                raise GraphError("blow_up needs at least one piece after its base")
+            for piece in pieces:
+                if piece.kind not in ("complete", "empty"):
+                    raise GraphError(
+                        f"blow_up pieces must be complete or empty leaves, got {piece.kind!r}"
+                    )
+            order = family_order(parts[0])
+            if len(pieces) != order:
+                raise GraphError(
+                    f"blow_up needs {order} pieces, one per base vertex, got {len(pieces)}"
+                )
+        return tuple.__new__(cls, (kind, params, parts))
 
 
 def path_graph(n: int) -> Graph:
@@ -322,7 +318,7 @@ def complete_graph(n: int) -> Graph:
     if n < 1:
         raise GraphError("complete graphs need at least one vertex")
     _check_order(n)
-    return build_graph(n, [(i, j) for i in range(n) for j in range(i + 1, n)])
+    return _unchecked_graph(n, tuple(((1 << n) - 1) ^ 1 << v for v in range(n)))
 
 
 def empty_graph(n: int) -> Graph:
@@ -334,7 +330,7 @@ def empty_graph(n: int) -> Graph:
 def complete_multipartite_graph(*sizes: int) -> Graph:
     if len(sizes) < 2:
         raise GraphError("complete multipartite graphs need at least two parts")
-    return blow_up(complete_graph(len(sizes)), [(s, "empty") for s in sizes])
+    return blow_up(complete_graph(len(sizes)), [empty_graph(s) for s in sizes])
 
 
 def broom_tree(k: int) -> Graph:
@@ -403,6 +399,20 @@ LEAF_KINDS: dict[str, LeafKind] = {
 }
 
 
+def family_order(spec: FamilySpec) -> int:
+    """The order of :func:`construct_family` ``(spec)``, read off the spec
+    without building anything, so a spec its builders reject still gets one.
+    A run of one part object, as ``m*`` writes, is counted once, so nested
+    copy counts cost time in the length of an expression, not in its order;
+    runs go by identity, as comparing two equal copies would take as long."""
+    leaf = LEAF_KINDS.get(spec.kind)
+    if leaf is not None:
+        return len(leaf.degrees(*spec.params))
+    parts = spec.parts[1:] if spec.kind == "blow_up" else spec.parts
+    runs = [list(run) for _, run in itertools.groupby(parts, key=id)]
+    return sum(family_order(run[0]) * len(run) for run in runs)
+
+
 def family_degrees(spec: FamilySpec) -> tuple[int, ...]:
     """The vertex degrees of :func:`construct_family` ``(spec)``, read off the
     spec (only a blow-up's base is built); sorted, they are its degree
@@ -414,10 +424,7 @@ def family_degrees(spec: FamilySpec) -> tuple[int, ...]:
         return leaf.degrees(*spec.params)
     if spec.kind == "blow_up":
         base = construct_family(spec.parts[0])
-        pieces = spec.parts[1:]
-        if len(pieces) != base.n:
-            raise GraphError(f"expected {base.n} parts, got {len(pieces)}")
-        inner = [family_degrees(piece) for piece in pieces]
+        inner = [family_degrees(piece) for piece in spec.parts[1:]]
         outer = [sum(len(inner[j]) for j in _bits(row)) for row in base.adj]
         return tuple(d + out for part, out in zip(inner, outer) for d in part)
     parts = [family_degrees(sub) for sub in spec.parts]
@@ -434,10 +441,9 @@ def construct_family(spec: FamilySpec) -> Graph:
     leaf = LEAF_KINDS.get(spec.kind)
     if leaf is not None:
         return leaf.build(*spec.params)
-    if spec.kind == "blow_up":
-        base, *pieces = spec.parts
-        return blow_up(construct_family(base), [(piece.params[0], piece.kind) for piece in pieces])
     parts = [construct_family(sub) for sub in spec.parts]
     if spec.kind == "complement":
         return complement(parts[0])
-    return reduce(disjoint_union if spec.kind == "union" else join, parts)
+    if spec.kind != "blow_up":
+        parts.insert(0, (empty_graph if spec.kind == "union" else complete_graph)(len(parts)))
+    return blow_up(parts[0], parts[1:])

@@ -112,6 +112,22 @@ def edge_list_quotient(g: Graph, classes: list[tuple[int, ...]]) -> Graph:
     return build_graph(len(classes), [(a, b) for a, b in pairs if g.adj[classes[a][0]] >> classes[b][0] & 1])
 
 
+def substitution_by_edges(base: Graph, parts: list[Graph]) -> Graph:
+    """``parts[i]`` put in place of vertex ``i`` of ``base``, from an edge
+    list: part ``i`` takes the labels after those of parts ``0..i-1``, keeps
+    its edges, and meets part ``j`` in every pair when ``i ~ j`` in ``base``."""
+    starts = [sum(p.n for p in parts[:i]) for i in range(len(parts) + 1)]
+    labels = [range(starts[i], starts[i + 1]) for i in range(len(parts))]
+    edges = []
+    for i, part in enumerate(parts):
+        pairs = itertools.combinations(range(part.n), 2)
+        edges += [(labels[i][x], labels[i][y]) for x, y in pairs if part.adj[x] >> y & 1]
+    for i, j in itertools.combinations(range(base.n), 2):
+        if base.adj[i] >> j & 1:
+            edges += itertools.product(labels[i], labels[j])
+    return build_graph(starts[-1], edges)
+
+
 def pair_mask(g: Graph) -> int:
     """Row-major upper-triangle bits of ``g`` as one integer (MSB first),
     in ``g``'s own labelling."""

@@ -162,7 +162,7 @@ def test_criterion_11_twin_round_trip():
     for n in range(1, 7):
         for g in enumerate_graphs(n):
             structure = twin_graph(g)
-            parts = [(size, "complete" if kind == "K" else "empty") for size, kind in structure.labels]
+            parts = [(complete_graph if kind == "K" else empty_graph)(size) for size, kind in structure.labels]
             if not are_isomorphic(blow_up(structure.quotient, parts), g):
                 bad.append(write_graph6(g))
     report(11, "blow-up of the twin quotient recovers the graph, n <= 6", not bad)

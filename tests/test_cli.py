@@ -77,6 +77,19 @@ class TestAnalyze:
         assert code == 2
         assert "error" in err
 
+    def test_a_blow_up_with_too_few_pieces_exits_2_naming_the_position(self, capsys):
+        code, _, err = run_cli(capsys, "analyze", "B(P4,K1)")
+        assert code == 2
+        assert "blow_up needs 4 pieces, one per base vertex, got 1 at position 8" in err
+
+    @pytest.mark.parametrize("expression", ["B(64*64*64*64*K64,K1)", "B(~(64*64*64*K64),K1)"])
+    def test_a_blow_up_of_a_huge_base_exits_2_at_once(self, capsys, expression):
+        # the base's order, 64**5 or 64**4, is counted without listing its vertices
+        start = time.process_time()
+        code, _, err = run_cli(capsys, "analyze", expression)
+        assert time.process_time() - start < 1.0
+        assert code == 2 and "position" in err
+
     @pytest.mark.parametrize(
         "expression, stage, budget",
         [

@@ -17,7 +17,7 @@ from symbreak import (
     parse_expression,
     path_graph,
 )
-from symbreak.graphs import _COMBINATORS, LEAF_KINDS
+from symbreak.graphs import _COMBINATORS, LEAF_KINDS, family_order
 
 #: Parameters that every leaf builder accepts, by arity.
 SAMPLE_PARAMS = {0: (), 1: (4,), 2: (2, 3)}
@@ -77,6 +77,10 @@ class TestParsing:
         [
             "", "K", "K(3)", "Q5", "2K2", "U(K2", "C4'", "J()", "B(P4)", "K2 K3", "~", "bul",
             "b5", "K65", "K99999999", "99999999*K1", "K(2,65)", "K\u00b2", "K\u0663",
+            "B(P4,K1)", "B(B(P2,K1,K2),K1,K1)", "B(P3,K1,K1)", "B(P2,K1,K1,K1)",
+            # nested copy counts name a base of 64**5 vertices, or of none, in a few bytes
+            "B(64*64*64*64*K64,K1)", "B(~(64*64*64*K64),K1)", "B(64*64*64*64*64*E0,K1)",
+            "B(U(64*64*64*64*64*K1,64*64*64*64*64*K1),K1)",
             pytest.param("K" + "9" * 5000, id="K-5000-digits"),
             pytest.param("~" * 5000 + "K1", id="5000-complements"),
             pytest.param("(" * 5000 + "K1" + ")" * 5000, id="5000-parentheses"),
@@ -150,6 +154,20 @@ class TestFormatting:
         assert sorted(family_degrees(spec)) == list(construct_family(spec).degree_sequence())
 
     @pytest.mark.parametrize(
+        "text",
+        ["P0", "T7", "K(5,1,3)", "U(C2,K3)", "B(P2,E0,K3)", "3*K2", "U(K2,P3,K2)",
+         "J(2*K1,~(3*C4))", "~B(J(K1,P3),K2,E3,K1,E4)", "U(B(K2,E2,K3),~J(E2,P3))"],
+    )
+    def test_order_is_the_number_of_degrees(self, text):
+        spec = parse_expression(text)
+        assert family_order(spec) == len(family_degrees(spec))
+
+    def test_nested_copies_are_counted_without_listing_them(self):
+        # an int, not the spec, goes into the assertion: the spec's repr lists 64**5 leaves
+        order = family_order(parse_expression("64*64*64*64*64*K64"))
+        assert order == 64**6
+
+    @pytest.mark.parametrize(
         "text, order",
         [("P0", 0), ("C0", 0), ("C1", 1), ("C2", 2), ("K0", 0), ("E0", 0), ("T0", 1),
          ("T1", 2), ("T2", 4), ("K(0,3)", 3), ("U(C2,K3)", 5), ("~C2", 2), ("B(P2,E0,K3)", 3)],
@@ -160,7 +178,7 @@ class TestFormatting:
             construct_family(spec)
         assert len(family_degrees(spec)) == order
 
-    @pytest.mark.parametrize("text", ["B(C2,K1,K1)", "B(P3,K1,K1)", "B(P2,K1,K1,K1)"])
+    @pytest.mark.parametrize("text", ["B(C2,K1,K1)"])
     def test_a_blow_up_the_builders_reject_raises(self, text):
         with pytest.raises(GraphError):
             family_degrees(parse_expression(text))

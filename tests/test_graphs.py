@@ -42,7 +42,14 @@ from symbreak.isomorphism import graph_from_pair_mask
 from symbreak.symmetry import Coloring
 
 from conftest import graphs, layer_distances
-from oracles import edge_list_quotient, naive_distances, pair_mask
+from oracles import edge_list_quotient, naive_distances, pair_mask, substitution_by_edges
+
+
+@st.composite
+def substitutions(draw):
+    """A base graph of order 1 to 6 and one part graph of order 1 to 4 per base vertex."""
+    base = draw(graphs(min_n=1, max_n=6))
+    return base, draw(st.lists(graphs(min_n=1, max_n=4), min_size=base.n, max_size=base.n))
 
 
 class TestBuildGraph:
@@ -174,12 +181,22 @@ class TestValueObjects:
             (lambda: FamilySpec("blow_up", parts=(K2, FamilySpec("union", parts=(E1,)), E1)),
              "blow_up pieces must be complete or empty leaves, got 'union'"),
             (lambda: FamilySpec("union"), "union needs at least one part"),
+            (lambda: FamilySpec("complete"), "K needs one parameter"),
+            (lambda: FamilySpec("path", (3, 4)), "P needs one parameter"),
+            (lambda: FamilySpec("house", (5,)), "C5' needs no parameters"),
+            (lambda: FamilySpec("complete_multipartite", (3,)), "K(...) needs at least two parameters"),
+            (lambda: FamilySpec("path", (3,), parts=(K2,)), "path is a leaf and has no parts, got 1"),
+            (lambda: FamilySpec("union", parts=("K3",)), "union parts must be FamilySpecs, got 'K3'"),
+            (lambda: FamilySpec("blow_up", parts=(K2, (1, "complete"), E1)),
+             "blow_up parts must be FamilySpecs, got (1, 'complete')"),
+            (lambda: FamilySpec("blow_up", parts=(FamilySpec("path", (4,)), E1)),
+             "blow_up needs 4 pieces, one per base vertex, got 1"),
             (lambda: FamilySpec("join"), "join needs at least one part"),
             (lambda: distinguishing_number(Graph(0, ())), "distinguishing number needs at least one vertex"),
             (lambda: metric_dimension(Graph(0, ())), "metric dimension needs at least one vertex"),
-            (lambda: join(complete_graph(40), empty_graph(25)), "join order 65 exceeds the 64-vertex cap"),
-            (lambda: blow_up(complete_graph(2), [(40, "complete"), (25, "empty")]),
-             "blow-up order 65 exceeds the 64-vertex cap"),
+            (lambda: join(complete_graph(40), empty_graph(25)), "order must be between 0 and 64, got 65"),
+            (lambda: blow_up(complete_graph(2), [complete_graph(40), empty_graph(25)]),
+             "order must be between 0 and 64, got 65"),
             (lambda: complete_multipartite_graph(3), "complete multipartite graphs need at least two parts"),
         ],
     )
@@ -235,17 +252,19 @@ class TestAlgebra:
 class TestBlowUp:
     def test_unit_blow_up_is_identity(self):
         p4 = path_graph(4)
-        assert blow_up(p4, [(1, "complete")] * 4) == p4
+        assert blow_up(p4, [complete_graph(1)] * 4) == p4
 
     def test_path_with_doubled_inner_vertex(self):
-        g = blow_up(path_graph(4), [(1, "complete"), (2, "complete"), (1, "complete"), (1, "complete")])
+        k1 = complete_graph(1)
+        g = blow_up(path_graph(4), [k1, complete_graph(2), k1, k1])
         assert g.n == 5
         # the doubled part is a clique pair adjacent to both path neighbours
         assert g.has_edge(1, 2)
         assert g.has_edge(0, 1) and g.has_edge(0, 2) and g.has_edge(1, 3) and g.has_edge(2, 3)
 
     def test_path_with_independent_end_pair(self):
-        g = blow_up(path_graph(4), [(2, "empty"), (1, "complete"), (1, "complete"), (1, "complete")])
+        k1 = complete_graph(1)
+        g = blow_up(path_graph(4), [empty_graph(2), k1, k1, k1])
         assert g.n == 5
         assert not g.has_edge(0, 1)
         assert g.has_edge(0, 2) and g.has_edge(1, 2)
@@ -254,14 +273,26 @@ class TestBlowUp:
         with pytest.raises(GraphError):
             blow_up(path_graph(4), [(1, "complete")] * 3)
 
-    def test_bad_kind(self):
-        with pytest.raises(GraphError):
-            blow_up(path_graph(2), [(1, "complete"), (1, "sparse")])
-
     @given(graphs(min_n=1, max_n=6))
     @settings(max_examples=60)
     def test_unit_blow_up_identity_property(self, g):
-        assert blow_up(g, [(1, "empty")] * g.n) == g
+        assert blow_up(g, [empty_graph(1)] * g.n) == g
+
+    @given(substitutions())
+    @settings(max_examples=150)
+    def test_substitution_equals_the_edge_list_oracle(self, base_and_parts):
+        # equal graphs, not just isomorphic ones: the vertex order is pinned too
+        base, parts = base_and_parts
+        assert blow_up(base, parts) == substitution_by_edges(base, parts)
+
+    @pytest.mark.parametrize("kind, fold", [("union", disjoint_union), ("join", join)])
+    def test_a_three_part_spec_is_the_pairwise_fold(self, kind, fold):
+        rng = random.Random(kind)
+        for _ in range(20):
+            leaves = [FamilySpec(rng.choice(["complete", "empty", "path", "cycle"]), (rng.randint(3, 6),))
+                      for _ in range(3)]
+            first, second, third = map(construct_family, leaves)
+            assert construct_family(FamilySpec(kind, parts=leaves)) == fold(fold(first, second), third)
 
 
 class TestFamilies:
@@ -414,7 +445,7 @@ def _random_graph(n: int, p: float, rng: random.Random) -> Graph:
 def _package_built(g: Graph, rng: random.Random) -> dict[str, Graph]:
     """Every graph the package builds from ``g`` without ``Graph``'s checks."""
     other = _random_graph(rng.randint(1, 6), 0.5, rng)
-    parts = [(rng.randint(1, 2), rng.choice(["complete", "empty"])) for _ in range(g.n)]
+    parts = [_random_graph(rng.randint(1, 3), 0.5, rng) for _ in range(g.n)]
     return {
         "graph6": parse_graph6(write_graph6(g)),
         "pair_mask": graph_from_pair_mask(g.n, pair_mask(g)),

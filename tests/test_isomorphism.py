@@ -25,6 +25,7 @@ from symbreak import (
     construct_family,
     cycle_graph,
     disjoint_union,
+    empty_graph,
     enumerate_graphs,
     is_connected,
     parse_expression,
@@ -269,7 +270,7 @@ class TestAreIsomorphic:
     def test_blown_up_twin_classes_cost_nothing(self):
         # each vertex replaced by an independent set of 3 twins: 48 vertices,
         # whose twin graphs are the 16-vertex originals
-        shrikhande, rook = (blow_up(g, [(3, "empty")] * 16) for g in shrikhande_and_rook())
+        shrikhande, rook = (blow_up(g, [empty_graph(3)] * 16) for g in shrikhande_and_rook())
         perm = list(range(48))
         random.Random(48).shuffle(perm)
         for g, h, expected in (

@@ -15,6 +15,7 @@ from symbreak import (
     cycle_graph,
     disjoint_union,
     distinguishing_number,
+    empty_graph,
     enumerate_graphs,
     is_connected,
     join,
@@ -49,8 +50,9 @@ def relabelled_blow_ups(draw):
     """A random graph of order up to 8 with each vertex blown up to a part
     of up to 8 vertices, relabelled so that classes interleave."""
     h = draw(graphs(min_n=1, max_n=8))
-    kinds = st.sampled_from(["complete", "empty"])
-    parts = draw(st.lists(st.tuples(st.integers(1, 8), kinds), min_size=h.n, max_size=h.n))
+    kinds = st.sampled_from([complete_graph, empty_graph])
+    parts = draw(st.lists(st.builds(lambda kind, size: kind(size), kinds, st.integers(1, 8)),
+                          min_size=h.n, max_size=h.n))
     g = blow_up(h, parts)
     return relabel(g, tuple(draw(st.permutations(range(g.n)))))
 
@@ -111,7 +113,7 @@ class TestTwinGraph:
         assert structure.quotient is g
         assert structure.labels == ((1, "1"),) * g.n
         # a graph with twins gets its own, smaller quotient
-        blown = blow_up(g, [(2, "complete")] + [(1, "empty")] * (g.n - 1))
+        blown = blow_up(g, [complete_graph(2)] + [empty_graph(1)] * (g.n - 1))
         assert twin_graph.__wrapped__(blown).quotient is not blown
         assert twin_graph(blown).quotient == g
 
@@ -155,7 +157,7 @@ class TestRoundTrip:
     def test_blow_up_of_quotient_recovers_graph(self, n):
         for g in enumerate_graphs(n):
             structure = twin_graph(g)
-            parts = [(size, "complete" if t == "K" else "empty") for size, t in structure.labels]
+            parts = [(complete_graph if t == "K" else empty_graph)(size) for size, t in structure.labels]
             rebuilt = blow_up(structure.quotient, parts)
             assert are_isomorphic(rebuilt, g)
 
