@@ -30,7 +30,8 @@ from .catalog import (
 )
 from .expressions import ExpressionError, parse_expression
 from .graphs import Graph, GraphError, OrderLimitError, construct_family
-from .isomorphism import Graph6Error, check_enumeration_order, parse_graph6, write_graph6
+from .isomorphism import (_G6_MAX_BYTE, _G6_OFFSET, Graph6Error, check_enumeration_order,
+                          parse_graph6, write_graph6)
 from .verify import (
     VerifyReport,
     check_bound,
@@ -53,7 +54,7 @@ _GRAMMAR = """family expression grammar (whitespace ignored):
   K(a,b,...)                 complete multipartite
   U(x,y,...)  J(x,y,...)     disjoint union, join
   m*x                        m disjoint copies of x
-  B(base,K<a>,E<b>,...)      blow-up of base by complete/empty parts
+  B(base,x,y,...)            blow-up: one expression per base vertex
   ~x                         complement
 examples: K(3,3)   J(K1,U(K1,2*K2))   B(P4,K1,E3,K1,K1)   ~C5
 """
@@ -64,6 +65,8 @@ def _read_graph(text: str) -> Graph:
     try:
         return construct_family(parse_expression(text))
     except ExpressionError as expr_err:
+        if any(not _G6_OFFSET <= ord(ch) <= _G6_MAX_BYTE for ch in text.rstrip("\r\n")):
+            raise  # a byte graph6 never uses: its complaint would say nothing of the expression
         try:
             return parse_graph6(text)
         except Graph6Error as g6_err:

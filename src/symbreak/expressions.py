@@ -6,11 +6,11 @@ Grammar (whitespace is ignored)::
             | atom
     atom   := 'U' '(' expr, ... ')'   disjoint union
             | 'J' '(' expr, ... ')'   join
-            | 'B' '(' expr, piece, ... ')'   blow-up of the base expr
+            | 'B' '(' expr, expr, ... ')'   blow-up: the first expr is the
+                                      base, then one per base vertex
             | '~' atom                complement
             | '(' expr ')'
             | leaf
-    piece  := 'K' INT | 'E' INT       the part replacing one base vertex
     leaf   := 'K' INT                 complete graph
             | 'E' INT                 empty graph
             | 'P' INT                 path
@@ -25,9 +25,10 @@ combinators those of :data:`symbreak.graphs._COMBINATORS`; the parser and
 :func:`format_spec` read their names and letters from these two tables.
 INT is ASCII digits with a value of at most
 :data:`symbreak.graphs.MAX_VERTICES`, and nesting is bounded by
-``_MAX_NESTING``.
+``_MAX_NESTING``.  A leaf its builder refuses (``P0``, ``C2``) and an order
+over the cap are refused at their position in the text.
 
-Examples: ``K(3,3)``, ``J(K1,U(K1,2*K2))``, ``B(P4,K1,E3,K1,K1)``, ``~C5``.
+Examples: ``K(3,3)``, ``J(K1,U(K1,2*K2))``, ``B(P4,K1,E3,K1,U(K1,K2))``, ``~C5``.
 """
 
 from __future__ import annotations
@@ -35,7 +36,8 @@ from __future__ import annotations
 import itertools
 from typing import Callable
 
-from .graphs import _COMBINATORS, LEAF_KINDS, MAX_VERTICES, FamilySpec, GraphError
+from .graphs import (_COMBINATORS, LEAF_KINDS, MAX_VERTICES, FamilySpec, GraphError, _check_order,
+                     family_order)
 
 #: Deepest nesting the parser accepts, where every ``expr`` and ``atom`` in
 #: the grammar counts one level (``K1`` is two, ``~~K1`` and ``(K1)`` four).
@@ -108,7 +110,7 @@ class _Parser:
             sub = self.expr()
             if count < 1:
                 raise self.error("copy counts must be at least 1")
-            return sub if count == 1 else FamilySpec("union", parts=(sub,) * count)
+            return sub if count == 1 else _capped(FamilySpec("union", parts=(sub,) * count))
         return self.atom()
 
     @_nested
@@ -125,8 +127,7 @@ class _Parser:
         self.take(ch)
         if kind == "complement":
             return FamilySpec(kind, parts=(self.atom(),))
-        parts = self.args(self.expr, self.piece if kind == "blow_up" else None)
-        return FamilySpec(kind, parts=parts)
+        return _capped(FamilySpec(kind, parts=self.args(self.expr)))
 
     def leaf(self) -> FamilySpec:
         start = self.pos
@@ -139,7 +140,9 @@ class _Parser:
             if (self.peek() == "(") != (leaf.arity == 2):
                 continue
             params = self.args(self.integer) if leaf.arity == 2 else (self.integer(),)
-            return FamilySpec(kind, params)
+            spec = FamilySpec(kind, params)
+            leaf.build(*params)  # the builder states the leaf's domain: P0 or C2 raises here
+            return spec
         self.pos = start
         raise self.error("expected a family expression")
 
@@ -150,22 +153,21 @@ class _Parser:
             self.pos += 1
         return True
 
-    def piece(self) -> FamilySpec:
-        for kind in ("complete", "empty"):
-            if self.word(LEAF_KINDS[kind].name):
-                return FamilySpec(kind, (self.integer(),))
-        raise self.error("blow-up pieces must be K<int> or E<int>")
-
-    def args(self, first: Callable, rest: Callable | None = None) -> tuple:
-        """A parenthesised, comma-separated list: ``first`` parses its first
-        item and ``rest`` (``first`` when omitted) every later one."""
+    def args(self, item: Callable) -> tuple:
+        """A parenthesised, comma-separated list, each entry parsed by ``item``."""
         self.take("(")
-        values = [first()]
+        values = [item()]
         while self.peek() == ",":
             self.take(",")
-            values.append((rest or first)())
+            values.append(item())
         self.take(")")
         return tuple(values)
+
+
+def _capped(spec: FamilySpec) -> FamilySpec:
+    # every parsed leaf has a vertex, so a parsed spec has at most 64 leaves
+    _check_order(family_order(spec))
+    return spec
 
 
 def parse_expression(text: str) -> FamilySpec:

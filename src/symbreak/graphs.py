@@ -257,10 +257,10 @@ class FamilySpec(_FamilySpecFields):
     A leaf kind is a key of :data:`LEAF_KINDS`, with as many integer
     parameters as its ``arity`` asks and no parts.  The combinators
     ``union``, ``join`` and ``complement`` combine sub-specs; the parts of a
-    ``blow_up`` are its base spec and then one ``complete`` or ``empty`` leaf
-    per base vertex (counted by :func:`family_order`), the piece that
-    replaces it.  A complement has exactly one part, a
-    union or join at least one.  A malformed spec raises :class:`GraphError`.
+    ``blow_up`` are its base spec and then one spec per base vertex
+    (counted by :func:`family_order`), the piece that replaces it.  A
+    complement has exactly one part, a union or join at least one.  A
+    malformed spec raises :class:`GraphError`.
     """
 
     __slots__ = ()
@@ -284,19 +284,9 @@ class FamilySpec(_FamilySpecFields):
             if not isinstance(part, FamilySpec):
                 raise GraphError(f"{kind} parts must be FamilySpecs, got {part!r}")
         if kind == "blow_up":
-            pieces = parts[1:]
-            if not pieces:
-                raise GraphError("blow_up needs at least one piece after its base")
-            for piece in pieces:
-                if piece.kind not in ("complete", "empty"):
-                    raise GraphError(
-                        f"blow_up pieces must be complete or empty leaves, got {piece.kind!r}"
-                    )
-            order = family_order(parts[0])
-            if len(pieces) != order:
-                raise GraphError(
-                    f"blow_up needs {order} pieces, one per base vertex, got {len(pieces)}"
-                )
+            order, pieces = family_order(parts[0]), len(parts) - 1
+            if pieces != order:
+                raise GraphError(f"blow_up needs {order} pieces, one per base vertex, got {pieces}")
         return tuple.__new__(cls, (kind, params, parts))
 
 

@@ -90,6 +90,34 @@ class TestAnalyze:
         assert time.process_time() - start < 1.0
         assert code == 2 and "position" in err
 
+    def test_a_blow_up_part_may_be_any_expression(self, capsys):
+        code, out, _ = run_cli(capsys, "analyze", "B(P4,C5,K1,U(K1,K2),E3)")
+        assert code == 0 and json.loads(out)["graph6"] == "KhfwGGD?wF?["
+
+    @pytest.mark.parametrize(
+        "expression",
+        ["P0", "C2", "T2", "K(0,3)", "U(K1,C2)", "B(P4,E0,K1,K1,K1)", "U(K40,K25)", "64*64*K1"],
+    )
+    def test_a_refused_expression_exits_2_naming_the_position(self, capsys, expression):
+        code, out, err = run_cli(capsys, "analyze", expression)
+        assert code == 2 and out == ""
+        assert err.startswith("error: ") and " at position " in err and f" in {expression!r}" in err
+
+    def test_an_expression_that_cannot_be_graph6_gets_only_its_own_complaint(self, capsys):
+        # '(' is byte 40, outside graph6's 63..126, so graph6 has nothing to add
+        code, _, err = run_cli(capsys, "analyze", "B(P4,K1)")
+        assert code == 2
+        expected = "blow_up needs 4 pieces, one per base vertex, got 1 at position 8 in 'B(P4,K1)'"
+        assert err == f"error: {expected}\n"
+
+    def test_a_text_that_could_be_graph6_gets_both_complaints(self, capsys):
+        code, _, err = run_cli(capsys, "analyze", "bul")
+        assert code == 2
+        assert err == (
+            "error: input is neither a family expression (expected a family expression at "
+            "position 0 in 'bul') nor graph6 (graph6 body for order 35 must be 100 bytes, got 2)\n"
+        )
+
     @pytest.mark.parametrize(
         "expression, stage, budget",
         [

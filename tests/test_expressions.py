@@ -1,6 +1,8 @@
 """The family expression mini-language: parsing and formatting."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from symbreak import (
     ExpressionError,
@@ -8,9 +10,11 @@ from symbreak import (
     GraphError,
     are_isomorphic,
     bull_graph,
+    complete_graph,
     complete_multipartite_graph,
     construct_family,
     cycle_graph,
+    empty_graph,
     family_degrees,
     format_spec,
     house_graph,
@@ -18,6 +22,8 @@ from symbreak import (
     path_graph,
 )
 from symbreak.graphs import _COMBINATORS, LEAF_KINDS, family_order
+
+from oracles import substitution_by_edges
 
 #: Parameters that every leaf builder accepts, by arity.
 SAMPLE_PARAMS = {0: (), 1: (4,), 2: (2, 3)}
@@ -29,10 +35,54 @@ COMBINATOR_SAMPLES = {
     "join": "J(E2,K(1,2,3),C4)",
     "blow_up": "B(J(K1,P3),K2,E3,K1,E4)",
 }
+C2, K1, K3 = FamilySpec("cycle", (2,)), FamilySpec("complete", (1,)), FamilySpec("complete", (3,))
+#: Specs with a parameter that its builder rejects, keyed by how they are
+#: written.  The parser refuses these texts, so the specs are built directly.
+REJECTED_BY_BUILDERS = {
+    "P0": FamilySpec("path", (0,)),
+    "C0": FamilySpec("cycle", (0,)),
+    "C1": FamilySpec("cycle", (1,)),
+    "C2": C2,
+    "K0": FamilySpec("complete", (0,)),
+    "E0": FamilySpec("empty", (0,)),
+    "T0": FamilySpec("broom_tree", (0,)),
+    "T1": FamilySpec("broom_tree", (1,)),
+    "T2": FamilySpec("broom_tree", (2,)),
+    "K(0,3)": FamilySpec("complete_multipartite", (0, 3)),
+    "U(C2,K3)": FamilySpec("union", parts=(C2, K3)),
+    "~C2": FamilySpec("complement", parts=(C2,)),
+    "B(P2,E0,K3)": FamilySpec(
+        "blow_up", parts=(FamilySpec("path", (2,)), FamilySpec("empty", (0,)), K3)
+    ),
+    "B(C2,K1,K1)": FamilySpec("blow_up", parts=(C2, K1, K1)),
+}
+#: The leaf builders a random blow-up draws from, with the least order each accepts.
+LEAF_BUILDERS = {
+    "K": (complete_graph, 1), "E": (empty_graph, 1), "P": (path_graph, 1), "C": (cycle_graph, 3),
+}
 
 
 def build(text):
     return construct_family(parse_expression(text))
+
+
+@st.composite
+def leaves(draw):
+    """A K, E, P or C leaf of order at most 5, as its text and its graph."""
+    letter = draw(st.sampled_from(sorted(LEAF_BUILDERS)))
+    builder, least = LEAF_BUILDERS[letter]
+    n = draw(st.integers(min_value=least, max_value=5))
+    return f"{letter}{n}", builder(n)
+
+
+@st.composite
+def blow_up_parts(draw):
+    """A leaf, or a union of one or two leaves, as its text and its graph."""
+    if draw(st.booleans()):
+        return draw(leaves())
+    members = draw(st.lists(leaves(), min_size=1, max_size=2))
+    text = "U(" + ",".join(t for t, _ in members) + ")"
+    return text, substitution_by_edges(empty_graph(len(members)), [g for _, g in members])
 
 
 class TestParsing:
@@ -80,7 +130,7 @@ class TestParsing:
             "B(P4,K1)", "B(B(P2,K1,K2),K1,K1)", "B(P3,K1,K1)", "B(P2,K1,K1,K1)",
             # nested copy counts name a base of 64**5 vertices, or of none, in a few bytes
             "B(64*64*64*64*K64,K1)", "B(~(64*64*64*K64),K1)", "B(64*64*64*64*64*E0,K1)",
-            "B(U(64*64*64*64*64*K1,64*64*64*64*64*K1),K1)",
+            "B(U(64*64*64*64*64*K1,64*64*64*64*64*K1),K1)", "0*K1",
             pytest.param("K" + "9" * 5000, id="K-5000-digits"),
             pytest.param("~" * 5000 + "K1", id="5000-complements"),
             pytest.param("(" * 5000 + "K1" + ")" * 5000, id="5000-parentheses"),
@@ -89,6 +139,34 @@ class TestParsing:
     def test_rejects_malformed_input(self, bad):
         with pytest.raises(ExpressionError):
             parse_expression(bad)
+
+    @pytest.mark.parametrize("text", list(REJECTED_BY_BUILDERS))
+    def test_a_parameter_its_builder_rejects_is_refused_at_its_position(self, text):
+        spec = REJECTED_BY_BUILDERS[text]
+        assert format_spec(spec) == text
+        with pytest.raises(GraphError) as built:
+            construct_family(spec)
+        with pytest.raises(ExpressionError) as parsed:
+            parse_expression(text)
+        assert f"{built.value} at position" in str(parsed.value)
+
+    @pytest.mark.parametrize(
+        "text, order",
+        [("U(K40,K25)", 65), ("J(K40,E25)", 65), ("B(K2,K40,E25)", 65), ("64*64*K1", 4096),
+         ("64*64*64*64*64*K64", 4096)],
+    )
+    def test_an_order_over_the_cap_is_refused_at_its_position(self, text, order):
+        with pytest.raises(ExpressionError) as parsed:
+            parse_expression(text)
+        assert f"order must be between 0 and 64, got {order} at position" in str(parsed.value)
+
+    @given(st.data())
+    @settings(max_examples=100)
+    def test_a_blow_up_of_any_parts_is_the_substitution(self, data):
+        base_text, base = data.draw(leaves())
+        parts = data.draw(st.lists(blow_up_parts(), min_size=base.n, max_size=base.n))
+        text = f"B({base_text},{','.join(t for t, _ in parts)})"
+        assert build(text) == substitution_by_edges(base, [g for _, g in parts])
 
 
 class TestFormatting:
@@ -116,6 +194,8 @@ class TestFormatting:
             "2*(U(K1,K2))",
             "~J(K1,K2)",
             "~B(P3,K2,E1,K2)",
+            "B(P4,C5,K1,U(K1,K2),E3)",
+            "B(K2,2*K2,~P3)",
         ],
     )
     def test_round_trip_through_formatter(self, text):
@@ -147,7 +227,8 @@ class TestFormatting:
          "~B(J(K1,P3),K2,E3,K1,E4)", "J(K1,U(K2,B(P3,K2,E1,K3)))", "B(E3,K2,E2,K1)",
          "U(P4)", "J(C5)", "~~P5", "~U(K2,E3,P3)", "J(~C5,U(K1,E2))", "B(~P4,K2,E1,E3,K1)",
          "B(B(P2,K2,E1),E2,K1,K3)", "U(B(K2,E2,K3),~J(E2,P3))", "(K3)", "~(2*K2)",
-         "2*(U(K1,K2))", "~J(K1,K2)", "~B(P3,K2,E1,K2)"],
+         "2*(U(K1,K2))", "~J(K1,K2)", "~B(P3,K2,E1,K2)", "B(P4,C5,K1,U(K1,K2),E3)",
+         "B(K2,2*K2,~P3)"],
     )
     def test_degrees_are_the_built_degree_sequence(self, text):
         spec = parse_expression(text)
@@ -159,12 +240,16 @@ class TestFormatting:
          "J(2*K1,~(3*C4))", "~B(J(K1,P3),K2,E3,K1,E4)", "U(B(K2,E2,K3),~J(E2,P3))"],
     )
     def test_order_is_the_number_of_degrees(self, text):
-        spec = parse_expression(text)
+        spec = REJECTED_BY_BUILDERS.get(text) or parse_expression(text)
         assert family_order(spec) == len(family_degrees(spec))
 
     def test_nested_copies_are_counted_without_listing_them(self):
+        # 64*64*64*64*64*K64, built directly since the parser refuses its order;
         # an int, not the spec, goes into the assertion: the spec's repr lists 64**5 leaves
-        order = family_order(parse_expression("64*64*64*64*64*K64"))
+        spec = FamilySpec("complete", (64,))
+        for _ in range(5):
+            spec = FamilySpec("union", parts=(spec,) * 64)
+        order = family_order(spec)
         assert order == 64**6
 
     @pytest.mark.parametrize(
@@ -173,7 +258,7 @@ class TestFormatting:
          ("T1", 2), ("T2", 4), ("K(0,3)", 3), ("U(C2,K3)", 5), ("~C2", 2), ("B(P2,E0,K3)", 3)],
     )
     def test_parameters_the_builders_reject_still_get_an_order(self, text, order):
-        spec = parse_expression(text)
+        spec = REJECTED_BY_BUILDERS[text]
         with pytest.raises(GraphError):
             construct_family(spec)
         assert len(family_degrees(spec)) == order
@@ -181,7 +266,7 @@ class TestFormatting:
     @pytest.mark.parametrize("text", ["B(C2,K1,K1)"])
     def test_a_blow_up_the_builders_reject_raises(self, text):
         with pytest.raises(GraphError):
-            family_degrees(parse_expression(text))
+            family_degrees(REJECTED_BY_BUILDERS[text])
 
     def test_collapses_repeated_union_operands(self):
         assert format_spec(parse_expression("U(K2,K2,K2)")) == "3*K2"
