@@ -23,10 +23,11 @@ last class it moves gets its color set.
 from __future__ import annotations
 
 import itertools
+from collections import defaultdict
 from functools import lru_cache
 from typing import Iterable, NamedTuple, Sequence
 
-from .graphs import DisconnectedError, Graph, GraphError, StepBudget, is_connected
+from .graphs import DisconnectedError, Graph, GraphError, StepBudget, _bits, is_connected
 from .isomorphism import isometries
 from .resolving import is_resolving
 from .twins import twin_graph
@@ -151,6 +152,36 @@ def distinguishing_number(g: Graph) -> int:
         return False
 
     return next(k for k in range(max(sizes), g.n + 1) if extend(0, k))
+
+
+def d_may_reach(g: Graph, k: int) -> bool:
+    """False only when ``D(g) < k`` is proven, in a few µs for most graphs.
+
+    Every automorphism keeps degrees, so it maps each degree class onto
+    itself; and if it maps every cell of a partition onto itself, it keeps
+    each vertex's neighbour count in every cell, so it maps each part of
+    that split onto itself too.  Hence every cell on the way from the
+    degree classes to the coarsest equitable partition (McKay & Piperno,
+    JSC 60 (2014)) is kept by Aut(G), and coloring each cell's vertices
+    distinctly leaves only the identity: ``D(g)`` is at most the largest
+    cell.  Refinement only splits cells, so it stops as soon as every cell
+    has fewer than ``k`` vertices.
+    """
+    if k <= 1:  # no cell is smaller than one vertex, so refining proves nothing
+        return True
+    by_degree: defaultdict[int, int] = defaultdict(int)
+    for v, row in enumerate(g.adj):
+        by_degree[row.bit_count()] |= 1 << v
+    cells = list(by_degree.values())
+    while max((cell.bit_count() for cell in cells), default=0) >= k:
+        split: defaultdict[tuple[int, ...], int] = defaultdict(int)
+        for i, cell in enumerate(cells):
+            for v in _bits(cell):
+                split[(i, *[(g.adj[v] & other).bit_count() for other in cells])] |= 1 << v
+        if len(split) == len(cells):  # equitable: no cell splits any more
+            return True
+        cells = list(split.values())
+    return False
 
 
 def coloring_from_resolving_set(g: Graph, landmarks: Iterable[int]) -> Coloring:

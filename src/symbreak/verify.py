@@ -4,6 +4,9 @@ Each check scans a population of graphs (internal enumeration up to order
 seven, or graph6 input beyond) and reports mismatches as graph6 strings with
 the expected and observed values, so a report is reproducible from its own
 content.  Scans distribute per-graph work over a process pool when asked.
+A scan for ``D = d`` skips graphs whose coarsest equitable partition has no
+cell of ``d`` vertices: automorphisms keep every cell, so coloring each cell
+distinctly leaves only the identity (:func:`~symbreak.symmetry.d_may_reach`).
 """
 
 from __future__ import annotations
@@ -21,7 +24,8 @@ from .catalog import (
 from .graphs import Graph, is_connected
 from .isomorphism import Graph6Error, are_isomorphic, enumerate_graphs, parse_graph6, write_graph6
 from .resolving import metric_dimension
-from .symmetry import coloring_from_resolving_set, distinguishing_number, is_distinguishing
+from .symmetry import (coloring_from_resolving_set, d_may_reach, distinguishing_number,
+                       is_distinguishing)
 
 
 class Mismatch(NamedTuple):
@@ -194,6 +198,7 @@ def check_characterization(
 
     pool = _population(n, graphs, connected_only=False)
     report.scanned = len(pool)
+    pool = [g for g in pool if d_may_reach(g, target)]
     for g, dval in zip(pool, _map_jobs(distinguishing_number, pool, jobs)):
         if dval != target:
             continue
@@ -230,6 +235,8 @@ def enumeration_rows(
 ) -> list[dict]:
     """One row per isomorphism class, in canonical order, with D and dim."""
     pool = _population(n, graphs, connected_only=connected_only)
+    if d_filter is not None:
+        pool = [g for g in pool if d_may_reach(g, d_filter)]
     rows = _map_jobs(_row_record, pool, jobs)
     if d_filter is not None:
         rows = [row for row in rows if row["D"] == d_filter]

@@ -410,6 +410,29 @@ class TestErrata:
         assert report.passed, [m.to_dict() for m in report.mismatches]
         assert (report.matched, report.excluded) == (30, [])
 
+    @pytest.mark.parametrize(
+        ("theorem", "computed"),
+        [(TheoremId.DN, 22), (TheoremId.DN1, 32), (TheoremId.DN2, 96), (TheoremId.DN3, 142)],
+        ids=lambda value: getattr(value, "value", value),
+    )
+    def test_order_8_scan_computes_d_only_where_a_cell_is_large_enough(
+        self, monkeypatch, order8_classes, theorem, computed
+    ):
+        # the reverse scan skips every graph whose coarsest equitable partition
+        # has no cell of 8 - offset vertices; the catalog's own graphs are not counted
+        scanned = {id(g) for g in order8_classes}
+        calls = []
+
+        def counted(g):
+            if id(g) in scanned:
+                calls.append(g)
+            return distinguishing_number(g)
+
+        monkeypatch.setattr("symbreak.verify.distinguishing_number", counted)
+        report = check_characterization(theorem, 8, graphs=order8_classes)
+        assert report.scanned == 12346 and report.passed
+        assert len(calls) == computed
+
     @pytest.mark.parametrize("line", ORDER_8_DN3_MISSES)
     def test_oracle_agrees_on_every_order_8_miss(self, line):
         assert brute_distinguishing_number(parse_graph6(line)) == 5

@@ -550,6 +550,23 @@ class TestEnumerate:
         assert rows and rows == [row for row in every if row["dim"] == "2"]
         assert len(rows) < len(every)
 
+    @pytest.mark.parametrize("d", range(1, 8))
+    def test_d_filter_over_every_order_7_class(self, capsys, d):
+        # the rows of order7_invariants.csv (written before any scan was
+        # pruned) with this D, in file order: skipping graphs that cannot
+        # reach D drops no row and reorders none
+        data = os.path.join(os.path.dirname(__file__), "data")
+        with open(os.path.join(data, "order7_invariants.csv"), newline="") as handle:
+            expected = [
+                [row["graph6"], "7", str(int(row["dim"] != "")), row["D"], row["dim"]]
+                for row in csv.DictReader(handle)
+                if row["D"] == str(d)
+            ]
+        path = os.path.join(data, "order7_classes.g6")
+        code, out, _ = run_cli(capsys, "enumerate", "--n", "7", "--graph6-file", path, "--d", str(d))
+        assert code == 0 and expected
+        assert list(csv.reader(io.StringIO(out))) == [["graph6", "n", "connected", "D", "dim"], *expected]
+
     def test_full_palette_rows_at_order_5(self, capsys):
         code, out, _ = run_cli(capsys, "enumerate", "--n", "5", "--d", "5")
         rows = list(csv.DictReader(io.StringIO(out)))

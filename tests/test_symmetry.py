@@ -7,13 +7,14 @@ import os
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from symbreak import (
     Coloring,
     NotResolvingError,
     OrderLimitError,
+    blow_up,
     broom_tree,
     build_graph,
     coloring_from_resolving_set,
@@ -38,7 +39,7 @@ from symbreak.graphs import DisconnectedError, Graph, GraphError
 from symbreak.expressions import parse_expression
 from symbreak.graphs import construct_family
 from symbreak.isomorphism import are_isomorphic, isometries
-from symbreak.symmetry import class_symmetries
+from symbreak.symmetry import class_symmetries, d_may_reach
 from symbreak.twins import twin_graph
 
 from conftest import graphs, graphs_with_permutation, relabel, vertex_orbits
@@ -335,6 +336,63 @@ def test_is_distinguishing_matches_brute_automorphisms(colored):
         if f != identity and all(colors[f[v]] == colors[v] for v in range(g.n))
     ]
     assert is_distinguishing(g, coloring) == (not preserved)
+
+
+@st.composite
+def _gnp_or_substitution(draw):
+    """G(n, p) on 1 to 64 vertices, or G(m, p) parts substituted into the
+    vertices of a G(b, p) base, at most 64 vertices in all."""
+    rng = draw(st.randoms(use_true_random=False))
+
+    def gnp(n):
+        p = rng.uniform(0.1, 0.9)
+        return build_graph(n, [pair for pair in itertools.combinations(range(n), 2) if rng.random() < p])
+
+    if draw(st.booleans()):
+        return gnp(draw(st.integers(1, 64)))
+    base = gnp(draw(st.integers(1, 6)))
+    return blow_up(base, [gnp(draw(st.integers(1, 64 // base.n))) for _ in range(base.n)])
+
+
+class TestDMayReach:
+    """``d_may_reach(g, k)`` is False only when ``D(g) < k``: D is at most
+    the largest cell of the coarsest equitable partition."""
+
+    def test_holds_on_every_class_up_to_order_7(self, order7_classes):
+        for g in [g for n in range(1, 7) for g in enumerate_graphs(n)] + order7_classes:
+            assert d_may_reach(g, distinguishing_number(g)), write_graph6(g)
+
+    def test_holds_on_every_order_8_class(self, order8_classes):
+        # the pruned catalog scans compute D for at most 142 of these classes
+        for g in order8_classes:
+            assert d_may_reach(g, distinguishing_number(g)), write_graph6(g)
+
+    def test_holds_on_the_order_9_classes_with_d_at_least_5(self, order9_high_d):
+        for g in order9_high_d:
+            assert d_may_reach(g, distinguishing_number(g)), write_graph6(g)
+
+    @pytest.mark.parametrize("n", [2, 3, 8, 64])
+    def test_a_path_refines_to_mirror_pairs(self, n):
+        # the degree classes leave n - 2 inner vertices; refinement splits
+        # them down to pairs at one distance from the ends
+        assert d_may_reach(path_graph(n), 2) and not d_may_reach(path_graph(n), 3)
+
+    @pytest.mark.parametrize("n", [3, 10, 64])
+    def test_a_regular_graph_is_already_equitable(self, n):
+        assert d_may_reach(cycle_graph(n), n) and not d_may_reach(cycle_graph(n), n + 1)
+
+    @given(_gnp_or_substitution())
+    @settings(max_examples=60, deadline=None)
+    def test_holds_on_random_graphs_and_substitutions(self, g):
+        try:
+            d = distinguishing_number(g)
+        except OrderLimitError:
+            assume(False)
+        assert d_may_reach(g, d)
+        # the complement has the same partition, so the largest k it allows is the same
+        largest = max(k for k in range(d, g.n + 1) if d_may_reach(g, k))
+        h = complement(g)
+        assert d_may_reach(h, largest) and not d_may_reach(h, largest + 1)
 
 
 class TestClassSymmetries:
