@@ -122,16 +122,21 @@ def isometries(
                 return visit(image)
             i = sizes.index(min(sizes))
             v = (g_cells[i] & -g_cells[i]).bit_length() - 1
-            counts = [(g.adj[v] & cell).bit_count() for cell in g_cells]
             g_split = split_cells(g_cells, g.adj, v)
             if sizes[i] > 1:
                 break
             charge()  # a singleton's one image is placed here, not one level down
-            w = v if identity else h_cells[i].bit_length() - 1
-            if not identity and [(h.adj[w] & cell).bit_count() for cell in h_cells] != counts:
+            if identity:
+                image[v] = v
+                g_cells = h_cells = g_split
+                continue
+            w = h_cells[i].bit_length() - 1
+            counts = [(g.adj[v] & cell).bit_count() for cell in g_cells]
+            if [(h.adj[w] & cell).bit_count() for cell in h_cells] != counts:
                 return False
             image[v] = w
-            g_cells, h_cells = g_split, g_split if identity else split_cells(h_cells, h.adj, w)
+            g_cells, h_cells = g_split, split_cells(h_cells, h.adj, w)
+        counts = [(g.adj[v] & cell).bit_count() for cell in g_cells]
         for w in _bits(h_cells[i]):
             charge()
             if identity and w == v:

@@ -24,7 +24,7 @@ from functools import lru_cache, reduce
 from operator import or_, xor
 from typing import Iterable, NamedTuple
 
-from .graphs import DisconnectedError, Graph, GraphError, StepBudget, _bits, is_connected
+from .graphs import DisconnectedError, Graph, GraphError, StepBudget, is_connected
 from .twins import twin_graph
 
 
@@ -91,8 +91,11 @@ def metric_dimension(g: Graph) -> ResolvingWitness:
         for u, v in itertools.combinations(group, 2)
     }
     minimal: list[int] = []
-    for mask in sorted(resolvers, key=lambda mask: (mask.bit_count(), mask)):
-        if not any(kept & mask == kept for kept in minimal):
+    for mask in sorted(sorted(resolvers), key=int.bit_count):  # by size, then by value
+        for kept in minimal:
+            if kept & mask == kept:
+                break
+        else:
             minimal.append(mask)
     witness = tuple(sorted(forced + _min_hitting_set(minimal)))
     return ResolvingWitness(len(witness), witness)
@@ -112,11 +115,23 @@ def _min_hitting_set(sets: list[int]) -> list[int]:
     """
     common: dict[int, int] = {}  # the intersection of the sets meeting w
     for mask in sets:
-        for w in _bits(mask):
+        bits = mask
+        while bits:
+            low = bits & -bits
+            w = low.bit_length() - 1
             common[w] = common.get(w, -1) & mask
+            bits ^= low
     kept = 0
     for w, mine in common.items():
-        if not any(x < w or not common[x] >> w & 1 for x in _bits(mine & ~(1 << w))):
+        if mine & (1 << w) - 1:  # a lower vertex is at least as good
+            continue
+        higher = mine >> w + 1
+        while higher:  # w stays unless some higher x meets a set that w misses
+            low = higher & -higher
+            if not common[w + low.bit_length()] >> w & 1:
+                break
+            higher ^= low
+        else:
             kept |= 1 << w
     candidates = sorted(w for w in common if kept >> w & 1)
     best = [kept]

@@ -1,23 +1,26 @@
 """Symmetries read off the twin graph, distinguishing colorings, and the
 resolving-set coloring that breaks every symmetry of a connected graph.
 
-Every symmetry question is decided on the twin graph G*, whose vertices
-are the twin classes of G, each labelled by its size and type.  Every
-permutation inside a twin class is an automorphism of G, every
-automorphism of G permutes the classes as a label-preserving automorphism
-of G*, and every such automorphism of G* lifts to G.  So a coloring
-distinguishes G exactly when the vertices of each class get distinct
-colors and no nontrivial labelled automorphism of G* maps the color set of
-every class onto the color set of its image (Albertson & Collins,
-"Symmetry breaking in graphs", EJC 3 (1996) R18), and the vertex orbits of
-Aut(G) are unions of twin classes.  For the same reason two graphs are
-isomorphic exactly when some isomorphism of their twin graphs keeps every
-label, which is how :func:`symbreak.isomorphism.are_isomorphic` decides
-it.  Only that labelled group is listed, never Aut(G) itself, by the same
-search :func:`symbreak.isomorphism.isometries`, and it is sorted by support
-size so that a non-distinguishing coloring is usually refuted by one of its
-first few elements.  The search for D checks each element once, when the
-last class it moves gets its color set.
+The search for D is decided on the twin graph G*, whose vertices are the
+twin classes of G, each labelled by its size and type.  Every permutation
+inside a twin class is an automorphism of G, every automorphism of G
+permutes the classes as a label-preserving automorphism of G*, and every
+such automorphism of G* lifts to G.  So a coloring distinguishes G exactly
+when the vertices of each class get distinct colors and no nontrivial
+labelled automorphism of G* maps the color set of every class onto the
+color set of its image (Albertson & Collins, "Symmetry breaking in
+graphs", EJC 3 (1996) R18), and the vertex orbits of Aut(G) are unions of
+twin classes.  For the same reason two graphs are isomorphic exactly when
+some isomorphism of their twin graphs keeps every label, which is how
+:func:`symbreak.isomorphism.are_isomorphic` decides it.  Only that
+labelled group is listed, never Aut(G) itself, by the same search
+:func:`symbreak.isomorphism.isometries`, and it is sorted by support size.
+The search for D checks each element once, when the last class it moves
+gets its color set.
+
+Checking one given coloring needs no group: :func:`is_distinguishing` runs
+that search on G with the coloring as vertex colors and stops at the first
+color-preserving automorphism other than the identity.
 """
 
 from __future__ import annotations
@@ -94,22 +97,17 @@ def _breaks_all(
 def is_distinguishing(g: Graph, coloring: Coloring) -> bool:
     """True when no non-identity automorphism preserves every color.
 
-    That holds exactly when no two vertices of a twin class share a color
-    and no nontrivial labelled automorphism of the twin graph maps each
-    class's color set onto that of its image.
+    One search for automorphisms of ``g`` that keep every vertex's color,
+    started on the identity, stops at the first image that moves a vertex.
+    No group is listed.
+
+    Raises:
+        OrderLimitError: when the search goes over its step budget.
     """
     if len(coloring.colors) != g.n:
         raise GraphError("coloring length does not match the graph order")
-    color_sets = []
-    for cls in twin_graph(g).classes:
-        color_set = 0
-        for v in cls:
-            bit = 1 << coloring.colors[v]
-            if color_set & bit:
-                return False
-            color_set |= bit
-        color_sets.append(color_set)
-    return _breaks_all(color_sets, class_symmetries(g))
+    identity = list(range(g.n))
+    return not isometries(g, g, lambda image: image != identity, coloring.colors)
 
 
 def distinguishing_number(g: Graph) -> int:

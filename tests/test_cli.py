@@ -17,8 +17,8 @@ from hypothesis import strategies as st
 import symbreak
 from symbreak import broom_tree, construct_family, load_graph6_file, parse_expression, write_graph6
 from symbreak.cli import _COMMANDS, _GRAMMAR, main
-from symbreak.resolving import ResolvingWitness
-from symbreak.symmetry import class_symmetries
+from symbreak.resolving import ResolvingWitness, metric_dimension
+from symbreak.symmetry import class_symmetries, distinguishing_number
 
 from conftest import graphs
 
@@ -280,7 +280,8 @@ class TestVerify:
         [
             pytest.param(
                 ["bound", "--n", "3"],
-                {"distinguishing_number": lambda g: 5, "is_distinguishing": lambda g, coloring: False},
+                {"distinguishing_number": lambda g: 5, "is_distinguishing": lambda g, coloring: False,
+                 "d_may_reach": lambda g, k: True},
                 [("BW", "D <= dim+1 = 2", "D = 5"),
                  ("BW", "resolving-set coloring distinguishes", "it does not"),
                  ("Bw", "D <= dim+1 = 3", "D = 5"),
@@ -317,6 +318,40 @@ class TestVerify:
             f"    counterexample {g6}: expected {expected}, got {actual}"
             for g6, expected, actual in mismatches
         ]
+
+    def test_an_under_reported_dimension_is_still_caught(self, capsys, monkeypatch):
+        # the bound scan computes D only where an equitable cell could exceed
+        # dim + 1; a dim one too small moves that threshold, so D is computed
+        # and the true value breaks the bound on both order-3 graphs
+        monkeypatch.setattr(
+            "symbreak.verify.metric_dimension",
+            lambda g: ResolvingWitness(metric_dimension(g).dim - 1, metric_dimension(g).witness),
+        )
+        code, out, _ = run_cli(capsys, "verify", "bound", "--n", "3")
+        assert code == 1
+        (report,) = json.loads(out)
+        assert [(m["graph6"], m["expected"], m["actual"]) for m in report["mismatches"]] == [
+            ("BW", "D <= dim+1 = 1", "D = 2"),
+            ("Bw", "D <= dim+1 = 2", "D = 3"),
+        ]
+
+    @pytest.mark.parametrize(("n", "connected", "computed"), [(7, 853, 22), (8, 11117, 99)])
+    def test_bound_scan_computes_d_only_where_a_cell_allows_d_above_dim_plus_1(
+        self, capsys, monkeypatch, n, connected, computed
+    ):
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return distinguishing_number(g)
+
+        monkeypatch.setattr("symbreak.verify.distinguishing_number", counted)
+        path = os.path.join(os.path.dirname(__file__), "data", f"order{n}_classes.g6")
+        code, out, _ = run_cli(capsys, "verify", "bound", "--n", str(n), "--graph6-file", path)
+        assert code == 0
+        (report,) = json.loads(out)
+        assert (report["scanned"], report["matched"]) == (connected, connected)
+        assert len(calls) == computed
 
     def test_graphs_outside_coverage_are_excluded_not_asserted(self, capsys, monkeypatch):
         monkeypatch.setattr("symbreak.verify.in_family_f", lambda g: False)

@@ -338,6 +338,33 @@ def test_is_distinguishing_matches_brute_automorphisms(colored):
     assert is_distinguishing(g, coloring) == (not preserved)
 
 
+@pytest.fixture
+def group_listing_refused(monkeypatch):
+    """``class_symmetries`` raises, so a test passes only if it never lists the group."""
+
+    def refuse(g):
+        raise AssertionError("the labelled group was listed")
+
+    monkeypatch.setattr("symbreak.symmetry.class_symmetries", refuse)
+
+
+@pytest.mark.usefixtures("group_listing_refused")
+class TestIsDistinguishingListsNoGroup(TestIsDistinguishing):
+    """Every case of TestIsDistinguishing again, with the listed group refused."""
+
+    def test_brute_agreement_holds(self):
+        test_is_distinguishing_matches_brute_automorphisms()
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_every_coloring_with_at_most_3_colors_agrees_with_brute_force(self, n):
+        identity = tuple(range(n))
+        for g in enumerate_graphs(n):
+            moved = [f for f in brute_automorphisms(g) if f != identity]
+            for colors in itertools.product(range(1, 4), repeat=n):
+                kept = any(all(colors[f[v]] == colors[v] for v in range(n)) for f in moved)
+                assert is_distinguishing(g, Coloring(colors, 3)) == (not kept), (write_graph6(g), colors)
+
+
 @st.composite
 def _gnp_or_substitution(draw):
     """G(n, p) on 1 to 64 vertices, or G(m, p) parts substituted into the
