@@ -228,6 +228,10 @@ def cmd_enumerate(args: SimpleNamespace) -> int:
         raise UsageError("enumerate needs --n (for example --n 4)")
     if args.n < 1:
         raise UsageError(f"--n must be at least 1, got {args.n}")
+    if args.d is not None and args.d < 1:
+        raise UsageError(f"--d must be at least 1, got {args.d}")
+    if args.dim is not None and args.dim < 0:
+        raise UsageError(f"--dim must be at least 0, got {args.dim}")
     file_graphs = load_graph6_file(args.graph6_file) if args.graph6_file else None
     if file_graphs is not None and all(g.n != args.n for g in file_graphs):
         raise UsageError(f"{args.graph6_file} has no graph of order {args.n}")

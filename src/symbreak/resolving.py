@@ -12,9 +12,10 @@ L_k(u) XOR L_k(v) over the k both layer lists reach, as min(d(u, w), d(v, w)) do
 The search first applies the twin rule: any resolving set misses at most
 one vertex of each twin class (two twins left outside would share every
 distance), and twins are interchangeable, so all but the first member of
-every class is forced into the set.  What remains is a hitting-set search
-over the class representatives, on the pairs the forced vertices leave
-unresolved.  The result equals the unpruned minimum.
+every class is forced into the set.  The classes come from
+:func:`~symbreak.twins.twin_partition`, the bare partition, not the
+labelled twin graph.  What remains is a hitting-set search over the class
+representatives, on the pairs the forced vertices leave unresolved.  The result equals the unpruned minimum.
 """
 
 from __future__ import annotations
@@ -25,7 +26,7 @@ from operator import or_, xor
 from typing import Iterable, NamedTuple
 
 from .graphs import DisconnectedError, Graph, GraphError, StepBudget, is_connected
-from .twins import twin_graph
+from .twins import twin_partition
 
 
 class ResolvingWitness(NamedTuple):
@@ -80,7 +81,7 @@ def metric_dimension(g: Graph) -> ResolvingWitness:
         raise DisconnectedError("metric dimension needs at least one vertex")
     if not is_connected(g):
         raise DisconnectedError("metric dimension is defined for connected graphs")
-    classes = twin_graph(g).classes
+    classes = twin_partition(g)
     forced = [v for cls in classes for v in cls[1:]]
     reps = sum(1 << cls[0] for cls in classes)
     layers = g._layers

@@ -5,6 +5,9 @@ another; a class of mutual twins induces either a clique (type "K") or an
 independent set (type "N"), and singleton classes have type "1".  The
 quotient keeps one vertex per class, with classes adjacent exactly when
 their members are.  Each class's (size, type) label is stored once.
+
+The partition is computed once per graph by :func:`twin_partition`, which
+:func:`twin_graph` labels and contracts and ``metric_dimension`` reads alone.
 """
 
 from __future__ import annotations
@@ -31,6 +34,12 @@ def twin_classes(g: Graph) -> list[list[int]]:
     return twin_classes_of_rows(g.adj)
 
 
+@lru_cache(maxsize=65536)
+def twin_partition(g: Graph) -> tuple[tuple[int, ...], ...]:
+    """:func:`twin_classes` as tuples, computed once per graph for every reader."""
+    return tuple(map(tuple, twin_classes_of_rows(g.adj)))
+
+
 def twin_classes_of_rows(adj: Sequence[int]) -> list[list[int]]:
     """:func:`twin_classes` of the simple graph with adjacency rows ``adj``.
 
@@ -53,7 +62,7 @@ def twin_classes_of_rows(adj: Sequence[int]) -> list[list[int]]:
 def twin_graph(g: Graph) -> TwinStructure:
     """Contract every twin class to one vertex and label each class with its
     size and type, in one pass over the classes."""
-    classes = tuple(map(tuple, twin_classes(g)))
+    classes = twin_partition(g)
     labels = tuple(
         (len(cls), "1" if len(cls) == 1 else "K" if g.adj[cls[0]] >> cls[1] & 1 else "N")
         for cls in classes

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import os
 import time
+from functools import partial
 from typing import NamedTuple
 
 from .catalog import (
@@ -106,12 +107,12 @@ def _population(n: int, graphs: list[Graph] | None, connected_only: bool) -> lis
     return pool
 
 
-def _bound_record(g: Graph) -> tuple[str, int | None, int, bool]:
+def _bound_record(g: Graph) -> tuple[int | None, int, bool]:
     witness = metric_dimension(g)
     # D is at most the largest equitable cell, so D > dim + 1 needs a cell of dim + 2
     dval = distinguishing_number(g) if d_may_reach(g, witness.dim + 2) else None
     coloring = coloring_from_resolving_set(g, witness.witness)
-    return (write_graph6(g), dval, witness.dim, is_distinguishing(g, coloring))
+    return (dval, witness.dim, is_distinguishing(g, coloring))
 
 
 def check_bound(n: int, graphs: list[Graph] | None = None, jobs: int = 1) -> VerifyReport:
@@ -120,17 +121,18 @@ def check_bound(n: int, graphs: list[Graph] | None = None, jobs: int = 1) -> Ver
     start = time.perf_counter()
     pool = _population(n, graphs, connected_only=True)
     report = VerifyReport("bound", n, scanned=len(pool), matched=0)
-    for graph6, dval, dim, breaks in _map_jobs(_bound_record, pool, jobs):
+    # graph6 is written only for the graphs the report names
+    for g, (dval, dim, breaks) in zip(pool, _map_jobs(_bound_record, pool, jobs)):
         ok = True
         if dval is not None and dval > dim + 1:
             ok = False
             report.mismatches.append(
-                Mismatch(graph6, f"D <= dim+1 = {dim + 1}", f"D = {dval}")
+                Mismatch(write_graph6(g), f"D <= dim+1 = {dim + 1}", f"D = {dval}")
             )
         if not breaks:
             ok = False
             report.mismatches.append(
-                Mismatch(graph6, "resolving-set coloring distinguishes", "it does not")
+                Mismatch(write_graph6(g), "resolving-set coloring distinguishes", "it does not")
             )
         if ok:
             report.matched += 1
@@ -218,13 +220,17 @@ def check_characterization(
     return report
 
 
-def _row_record(g: Graph) -> dict:
+def _row_record(g: Graph, d_filter: int | None) -> dict | None:
+    """The row of ``g``, or None when its D is not ``d_filter``, before dim is computed."""
+    dval = distinguishing_number(g)
+    if d_filter is not None and dval != d_filter:
+        return None
     connected = is_connected(g)
     return {
         "graph6": write_graph6(g),
         "n": g.n,
         "connected": connected,
-        "D": distinguishing_number(g),
+        "D": dval,
         "dim": metric_dimension(g).dim if connected else None,
     }
 
@@ -241,9 +247,7 @@ def enumeration_rows(
     pool = _population(n, graphs, connected_only=connected_only)
     if d_filter is not None:
         pool = [g for g in pool if d_may_reach(g, d_filter)]
-    rows = _map_jobs(_row_record, pool, jobs)
-    if d_filter is not None:
-        rows = [row for row in rows if row["D"] == d_filter]
+    rows = [row for row in _map_jobs(partial(_row_record, d_filter=d_filter), pool, jobs) if row]
     if dim_filter is not None:
         rows = [row for row in rows if row["dim"] == dim_filter]
     return rows

@@ -353,6 +353,14 @@ class TestVerify:
         assert (report["scanned"], report["matched"]) == (connected, connected)
         assert len(calls) == computed
 
+    def test_bound_scan_writes_graph6_only_for_reported_graphs(self, capsys, monkeypatch):
+        calls = []
+        monkeypatch.setattr("symbreak.verify.write_graph6", lambda g: calls.append(g) or "")
+        code, out, _ = run_cli(capsys, "verify", "bound", "--n", "1..6")
+        assert code == 0
+        assert [report["matched"] for report in json.loads(out)] == [1, 1, 2, 6, 21, 112]
+        assert calls == []
+
     def test_graphs_outside_coverage_are_excluded_not_asserted(self, capsys, monkeypatch):
         monkeypatch.setattr("symbreak.verify.in_family_f", lambda g: False)
         code, out, _ = run_cli(capsys, "verify", "Dn3", "--n", "5")
@@ -627,6 +635,35 @@ class TestEnumerate:
         code, out, err = run_cli(capsys, "enumerate", "--n", "0")
         assert code == 2 and out == ""
         assert "--n must be at least 1, got 0" in err
+
+    @pytest.mark.parametrize(("flag", "value", "least"), [("--d", "0", 1), ("--d", "-3", 1),
+                                                          ("--dim", "-1", 0)])
+    def test_filter_values_no_row_can_have_exit_2(self, capsys, flag, value, least):
+        code, out, err = run_cli(capsys, "enumerate", "--n", "3", flag, value)
+        assert code == 2 and out == ""
+        assert f"{flag} must be at least {least}, got {value}" in err
+
+    def test_d_filter_computes_dim_only_for_the_rows_it_keeps(self, capsys, monkeypatch):
+        calls = []
+
+        def counted(g):
+            calls.append(g)
+            return metric_dimension(g)
+
+        path = os.path.join(os.path.dirname(__file__), "data", "order7_classes.g6")
+        _, every, _ = run_cli(capsys, "enumerate", "--n", "7", "--graph6-file", path)
+        monkeypatch.setattr("symbreak.verify.metric_dimension", counted)
+        code, out, _ = run_cli(capsys, "enumerate", "--n", "7", "--graph6-file", path, "--d", "4")
+        assert code == 0
+        rows = list(csv.DictReader(io.StringIO(out)))
+        assert rows == [row for row in csv.DictReader(io.StringIO(every)) if row["D"] == "4"]
+        assert len(calls) == sum(row["connected"] == "1" for row in rows) == 18
+
+    def test_d_filter_with_jobs_matches_serial_run(self, capsys):
+        code, serial, _ = run_cli(capsys, "enumerate", "--n", "6", "--d", "3")
+        code2, parallel, _ = run_cli(capsys, "enumerate", "--n", "6", "--d", "3", "--jobs", "2")
+        assert code == code2 == 0 and serial.count("\n") > 1
+        assert parallel == serial
 
     def test_internal_bound_exits_3(self, capsys):
         code, _, err = run_cli(capsys, "enumerate", "--n", "8")

@@ -12,19 +12,23 @@ from symbreak import (
     DisconnectedError,
     GraphError,
     OrderLimitError,
+    blow_up,
     broom_tree,
     build_graph,
     complement,
     complete_graph,
+    complete_multipartite_graph,
     cycle_graph,
     diameter,
     disjoint_union,
+    empty_graph,
     enumerate_graphs,
     is_connected,
     is_resolving,
     metric_dimension,
     path_graph,
 )
+from symbreak import resolving, twins
 from symbreak.twins import twin_classes
 
 from conftest import graphs, layer_distances
@@ -104,7 +108,7 @@ class TestMetricDimension:
 
 
 class TestPrunedSearchAgainstNaive:
-    @pytest.mark.parametrize("n", range(1, 6))
+    @pytest.mark.parametrize("n", range(1, 7))
     def test_equals_naive_enumeration(self, n):
         for g in enumerate_graphs(n, connected_only=True):
             assert metric_dimension(g).dim == naive_metric_dimension(g)[0]
@@ -114,6 +118,45 @@ class TestPrunedSearchAgainstNaive:
             witness = set(metric_dimension(g).witness)
             for cls in twin_classes(g):
                 assert len(set(cls) - witness) <= 1
+
+    def test_reads_the_twin_partition_without_the_twin_graph(self, monkeypatch):
+        graphs = [
+            complete_graph(6),
+            complete_multipartite_graph(1, 5),
+            complete_multipartite_graph(3, 3, 2),
+            blow_up(path_graph(4), [complete_graph(3), empty_graph(2), complete_graph(1), empty_graph(3)]),
+            blow_up(cycle_graph(5), [empty_graph(2), complete_graph(2), empty_graph(1), complete_graph(3),
+                                     empty_graph(2)]),
+        ]
+        expected = [metric_dimension.__wrapped__(g) for g in graphs]
+
+        def refused(g):
+            raise AssertionError("metric_dimension built the twin graph")
+
+        for module in (twins, resolving):
+            monkeypatch.setattr(module, "twin_graph", refused, raising=False)
+        assert [metric_dimension.__wrapped__(g) for g in graphs] == expected
+        assert all(len(twin_classes(g)) < g.n for g in graphs)
+
+
+@st.composite
+def connected_gnp(draw):
+    """A G(n, p) graph of order 7 or 8 over a spread of densities, or its
+    complement when it is disconnected, so that every draw is connected."""
+    n = draw(st.integers(min_value=7, max_value=8))
+    p = draw(st.sampled_from([0.2, 0.35, 0.5, 0.65, 0.8]))
+    rng = random.Random(draw(st.integers(min_value=0, max_value=2**32 - 1)))
+    g = build_graph(n, [pair for pair in itertools.combinations(range(n), 2) if rng.random() < p])
+    return g if is_connected(g) else complement(g)
+
+
+@given(connected_gnp())
+@settings(max_examples=120, deadline=None)
+def test_gnp_witness_resolves_and_no_smaller_set_does(g):
+    found = metric_dimension(g)
+    assert len(found.witness) == found.dim and is_resolving(g, found.witness)
+    # the oracle takes the first resolving set in order of size
+    assert found.dim == naive_metric_dimension(g)[0]
 
 
 @given(graphs(min_n=1, max_n=6))
